@@ -33,8 +33,8 @@ from .cfrac import (
     density_coeff_reduced_dz,
     forcing_reduced,
     forcing_reduced_dz,
-    lower_phase_chain,
     ratio_chain_value,
+    ratio_chain_values,
 )
 from .errors import FluidTailError
 from .kernel import (
@@ -263,10 +263,7 @@ def lower_phase_tail(params: ModelParams, report: TailReport, phase: int) -> Pha
     """
     if not 0 <= phase <= params.c - 2:
         raise ValueError(f"phase {phase} is not below c-1")
-    links = lower_phase_chain(params, report.boundary)
-    mult = 1.0
-    for link in links[phase:]:
-        mult *= float(link.ratio(report.alpha_star))
+    mult = math.prod(ratio_chain_values(params, report.alpha_star)[phase:])
     pref = report.prefactor * mult
     return PhaseTail(
         phase=phase,
@@ -287,12 +284,9 @@ def marginal_tail(params: ModelParams, report: TailReport) -> PhaseTail:
     a = report.alpha_star
     f_at_1 = complex(density_coeff_reduced(params, a, 1.0)).real
     bracket = f_at_1 / (-a * params.r)
-    links = lower_phase_chain(params, report.boundary)
-    for start in range(len(links)):
-        mult = 1.0
-        for link in links[start:]:
-            mult *= float(link.ratio(a))
-        bracket += mult
+    a_vals = ratio_chain_values(params, a)
+    for start in range(len(a_vals)):
+        bracket += math.prod(a_vals[start:])
     pref = report.prefactor * bracket
     return PhaseTail(
         phase=-1, rate=a, power=report.power, prefactor=pref,

@@ -15,7 +15,7 @@ forcing term built from the boundary masses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -71,21 +71,30 @@ def ratio_chain(params: ModelParams) -> tuple:
     return tuple(chain)
 
 
-def ratio_chain_value(params: ModelParams, alpha):
-    """Evaluate the full chain at one point by direct recursion.
+def ratio_chain_values(params: ModelParams, alpha) -> list:
+    """Evaluate every link A_0..A_{c-2} at one point by direct recursion.
 
     Numerically self-correcting (no polynomial coefficients involved), so it
-    is the preferred form for polishing zeros; returns A_{c-2}(alpha), or 0
-    for c = 1.
+    is the form in which the package evaluates the chain; the polynomial
+    form of ratio_chain serves the rationalized zero polynomial.  Empty for
+    c = 1.
     """
     c, lam, mu = params.c, params.lam, params.mu
     a = 0.0
+    values = []
     for i in range(c - 1):
         den = (c - i) * alpha + lam + i * mu - lam * a
         if abs(den) < 1e-300:
             raise PoleError(f"chain recursion hit a pole at alpha={alpha}")
         a = (i + 1) * mu / den
-    return a
+        values.append(a)
+    return values
+
+
+def ratio_chain_value(params: ModelParams, alpha):
+    """A_{c-2}(alpha) by the recursion of ratio_chain_values, or 0 for c = 1."""
+    values = ratio_chain_values(params, alpha)
+    return values[-1] if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -125,13 +134,26 @@ def source_constants(params: ModelParams, boundary: BoundaryVector) -> np.ndarra
     return k
 
 
-def _chain_values(params: ModelParams, alpha, chain=None):
-    if chain is None:
-        chain = ratio_chain(params)
-    return [a(alpha) for a in chain]
+def chain_offset(params: ModelParams, boundary: BoundaryVector, alpha, phase: int):
+    """Boundary offset of the downward chain at a phase 0 <= phase <= c-2.
+
+    sum_{n <= phase} k_n lam^(phase-n) prod_{m=n}^{phase} A_m(alpha) / ((m+1) mu),
+    with k the source constants; at phase c-2 it is the chain part of the
+    folded forcing.
+    """
+    lam, mu = params.lam, params.mu
+    k = source_constants(params, boundary)
+    a_vals = ratio_chain_values(params, alpha)
+    acc = 0.0
+    for n in range(phase + 1):
+        prod = 1.0
+        for m in range(n, phase + 1):
+            prod *= a_vals[m] / ((m + 1) * mu)
+        acc += k[n] * lam ** (phase - n) * prod
+    return acc
 
 
-def density_coeff_reduced(params: ModelParams, alpha, z, chain=None):
+def density_coeff_reduced(params: ModelParams, alpha, z):
     """Folded coefficient of the phase-(c-1) density transform.
 
     Equals lam*z^c*A_{c-2}(alpha) + density_coeff(alpha, z); for c = 1 the
@@ -141,49 +163,35 @@ def density_coeff_reduced(params: ModelParams, alpha, z, chain=None):
     base = density_coeff(params, alpha, z)
     if c == 1:
         return base
-    return lam * z ** c * _chain_values(params, alpha, chain)[-1] + base
+    return lam * z ** c * ratio_chain_value(params, alpha) + base
 
 
-def density_coeff_reduced_dz(params: ModelParams, alpha, z, chain=None):
+def density_coeff_reduced_dz(params: ModelParams, alpha, z):
     """Exact z-derivative of density_coeff_reduced."""
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     head = (mu - alpha * r - alpha) * c * z ** (c - 1) - c * (c - 1) * mu * z ** (c - 2)
     if c == 1:
         return head
-    return lam * c * z ** (c - 1) * _chain_values(params, alpha, chain)[-1] + head
+    return lam * c * z ** (c - 1) * ratio_chain_value(params, alpha) + head
 
 
-def forcing_reduced(params: ModelParams, boundary: BoundaryVector, alpha, z, chain=None):
+def forcing_reduced(params: ModelParams, boundary: BoundaryVector, alpha, z):
     """Known forcing term of the folded identity (linear in the boundary masses)."""
-    c, lam, mu = params.c, params.lam, params.mu
+    c, lam = params.c, params.lam
     p = boundary.masses
     if c == 1:
         return mass_coeff(params, z) * p[0]
-    k = source_constants(params, boundary)
-    a_vals = _chain_values(params, alpha, chain)
-    acc = 0.0
-    for n in range(c - 1):
-        prod = 1.0
-        for m in range(n, c - 1):
-            prod *= a_vals[m] / ((m + 1) * mu)
-        acc += k[n] * lam ** (c - 2 - n) * prod
+    acc = chain_offset(params, boundary, alpha, c - 2)
     return mass_coeff(params, z) * p[c - 1] + lam * z ** c * (p[c - 2] + acc)
 
 
-def forcing_reduced_dz(params: ModelParams, boundary: BoundaryVector, alpha, z, chain=None):
+def forcing_reduced_dz(params: ModelParams, boundary: BoundaryVector, alpha, z):
     """Exact z-derivative of forcing_reduced."""
-    c, lam, mu = params.c, params.lam, params.mu
+    c, lam = params.c, params.lam
     p = boundary.masses
     if c == 1:
         return mass_coeff_dz(params, z) * p[0]
-    k = source_constants(params, boundary)
-    a_vals = _chain_values(params, alpha, chain)
-    acc = 0.0
-    for n in range(c - 1):
-        prod = 1.0
-        for m in range(n, c - 1):
-            prod *= a_vals[m] / ((m + 1) * mu)
-        acc += k[n] * lam ** (c - 2 - n) * prod
+    acc = chain_offset(params, boundary, alpha, c - 2)
     return mass_coeff_dz(params, z) * p[c - 1] + lam * c * z ** (c - 1) * (p[c - 2] + acc)
 
 
@@ -218,25 +226,8 @@ def lower_phase_chain(params: ModelParams, boundary: BoundaryVector) -> list:
 
     For 0 <= i <= c-2 the transform of phase i equals
     offset_i(alpha) + A_i(alpha) * (transform of phase i+1), where offset_i
-    collects the boundary source constants.  Empty for c = 1.
+    is chain_offset at phase i.  Empty for c = 1.
     """
-    c, lam, mu = params.c, params.lam, params.mu
-    chain = ratio_chain(params)
-    if c == 1:
-        return []
-    k = source_constants(params, boundary)
-
-    def make_offset(i):
-        def offset(alpha):
-            a_vals = _chain_values(params, alpha, chain)
-            acc = 0.0
-            for n in range(i + 1):
-                prod = 1.0
-                for m in range(n, i + 1):
-                    prod *= a_vals[m] / ((m + 1) * mu)
-                acc += k[n] * lam ** (i - n) * prod
-            return acc
-
-        return offset
-
-    return [PhaseChainLink(phase=i, ratio=chain[i], offset=make_offset(i)) for i in range(c - 1)]
+    return [PhaseChainLink(phase=i, ratio=a,
+                           offset=partial(chain_offset, params, boundary, phase=i))
+            for i, a in enumerate(ratio_chain(params))]

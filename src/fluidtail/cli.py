@@ -116,8 +116,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     params = _params(args)
-    report = asymptotics.analyze(params, n_phases=args.truncation)
     sol = spectral.solve_truncated(params, args.truncation)
+    report = asymptotics.analyze(params, n_phases=args.truncation, solution=sol)
     s1 = float(sol.eigenvalues[0].real)
     spectral_rate_err = abs(s1 + report.alpha_star) / report.alpha_star
     tol_eig = args.tol_spectral_rate

@@ -2,24 +2,23 @@
 
 The stationary law of (level, phase) on phases 0..N satisfies the linear ODE
 system  dPi/dx * R = Pi * Q  with Q the truncated background generator and
-R the diagonal of net rates.  The boundary masses come from the stable
-invariant subspace of (Q R^{-1})^T, captured with a real Schur
-decomposition; the boundary conditions (no mass at level zero in the filling
-phases) pin the coefficients.
-
-Eigenvalues and curves come from the reversibility-symmetrized pencil
-(S, R), S = D Q D^{-1} with D = diag(sqrt(xi)).  S is negative semidefinite,
+R the diagonal of net rates.  Everything here comes from one build of the
+decaying modes of the reversibility-symmetrized pencil (S, R),
+S = D Q D^{-1} with D = diag(sqrt(xi)).  S is negative semidefinite,
 S = -L L^T with L bidiagonal, so the nonzero eigenvalues of the pencil are
 those of the symmetric tridiagonal K = -L^T R^{-1} L: real, and computed to
-an absolute accuracy of about 1e-16 * ||K||.  The curves are finite sums of
-the decaying modes (van Doorn & Scheinhardt, ITC-15, 1997),
+an absolute accuracy of about 1e-16 * ||K||.  The solution is a finite sum
+of the decaying modes (van Doorn & Scheinhardt, ITC-15, 1997),
 
     Pi(x) = xi + sum_k b_k phi_k e^{s_k x},   pi(x) = sum_k s_k b_k phi_k e^{s_k x},
 
-with the b_k pinned by Pi_i(0) = 0 in the filling phases.  Each term is
-formed in float64 without cancellation against the others, so deep in the
-tail, where one mode or one cluster of modes dominates, the density keeps
-its relative accuracy until e^{s_k x} underflows.
+with the b_k pinned by Pi_i(0) = 0 in the filling phases (one LU solve).
+The boundary masses are Pi(0) = xi + sum_k b_k phi_k, the eigenvalues are
+the s_k, and the density transforms are sum_k b_k phi_k s_k / (-(alpha + s_k)).
+Each curve term is formed in float64 without cancellation against the
+others, so deep in the tail, where one mode or one cluster of modes
+dominates, the density keeps its relative accuracy until e^{s_k x}
+underflows.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, schur
+from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
 from .cfrac import BoundaryVector
 from .errors import FluidTailError
@@ -65,68 +63,46 @@ def _truncated_stationary(params: ModelParams, n_phases: int) -> np.ndarray:
 class SpectralSolution:
     """Assembled stationary solution on a truncated phase space.
 
-    The curve evaluators (``distribution``, ``density`` and their grid
-    versions, ``survival_grid``) sum the decaying modes of the symmetrized
-    pencil.  The modes are built on the first evaluator call, by one
-    tridiagonal eigensolve and one boundary solve, and cached; each point
-    then costs O(N * modes).  Values keep their relative accuracy down to
-    float64 underflow wherever one mode or one cluster of modes dominates,
-    as in every tail; where the true value is near zero through cancellation
-    (the high phases at small x) the error is absolute, about 1e-16 times
-    the largest mode term.
+    Every quantity is read off the decaying modes of the symmetrized pencil,
+    built once by ``solve_truncated``: the boundary masses, the eigenvalues,
+    the density transforms and the curve evaluators (``distribution``,
+    ``density`` and their grid versions, ``survival_grid``), each point of
+    which costs O(N * modes).  Curve values keep their relative accuracy
+    down to float64 underflow wherever one mode or one cluster of modes
+    dominates, as in every tail; where the true value is near zero through
+    cancellation (the high phases at small x) the error is absolute, about
+    1e-16 times the largest mode term.
 
     Attributes
     ----------
     params, n_phases : the model and the largest retained phase
     xi : stationary phase law of the truncated chain
-    eigenvalues : decaying eigenvalues of the pencil, real and sorted
+    eigenvalues : decay rates s_k of the modes, real, negative and sorted
                   closest to zero first; eigenvalues[0] approximates the
                   negated level decay rate
+    mode_shapes : weighted mode shapes b_k phi_k, one column per eigenvalue;
+                  each column, read as a row vector phi, satisfies
+                  s phi R = phi Q
     boundary_masses : Pi_i(0) for all phases (exactly zero beyond phase c-1
                       up to the solve residual)
-    condition : conditioning of the boundary solve
+    condition : 1-norm condition estimate of the boundary solve for the b_k
     """
 
     def __init__(self, params: ModelParams, n_phases: int,
-                 xi, v1, t11, coeffs, eigenvalues, condition):
+                 xi, eigenvalues, mode_shapes, condition):
         self.params = params
         self.n_phases = n_phases
         self.xi = xi
-        self._v1 = v1
-        self._t11 = t11
-        self._coeffs = coeffs
         self.eigenvalues = eigenvalues
+        self.mode_shapes = mode_shapes
         self.condition = condition
-        self.boundary_masses = xi + v1 @ coeffs
+        self.boundary_masses = xi + mode_shapes.sum(axis=1)
 
     # -- evaluators ---------------------------------------------------------
 
-    @cached_property
-    def _modes(self):
-        """Decay rates s_k and weighted mode shapes b_k phi_k, one per column.
-
-        A unit eigenvector y of K gives the pencil eigenvector
-        psi = -R^{-1} L y / s, and phi = sqrt(xi) * psi in phase space.
-        """
-        diag, off, l_diag, l_sub, r_inv = _reduced_pencil(self.params, self.n_phases)
-        s, y = eigh_tridiagonal(diag, off)
-        stable = s < 0.0
-        s, y = s[stable], y[:, stable]
-        c = self.params.c
-        if s.size != self.n_phases + 1 - c:
-            raise FluidTailError(f"pencil has {s.size} decaying modes, expected "
-                                 f"{self.n_phases + 1 - c}")
-        ly = np.zeros((self.n_phases + 1, s.size))
-        ly[:-1] = l_diag[:, None] * y
-        ly[1:] += l_sub[:, None] * y
-        psi = -(r_inv[:, None] * ly) / s
-        root_xi = np.sqrt(self.xi)
-        weights = np.linalg.solve(psi[c:], -root_xi[c:])
-        return s, root_xi[:, None] * psi * weights
-
     def _exp_terms(self, xs) -> np.ndarray:
         """e^{s_k x} for each x (rows) and mode (columns)."""
-        return np.exp(np.outer(np.asarray(xs, dtype=float), self._modes[0]))
+        return np.exp(np.outer(np.asarray(xs, dtype=float), self.eigenvalues))
 
     def distribution(self, x: float) -> np.ndarray:
         """Pi_i(x) = P(phase = i, level <= x) for all retained phases."""
@@ -138,12 +114,11 @@ class SpectralSolution:
 
     def distribution_grid(self, xs) -> np.ndarray:
         """Pi at each x, shape (len(xs), phases)."""
-        return self.xi + self._exp_terms(xs) @ self._modes[1].T
+        return self.xi + self._exp_terms(xs) @ self.mode_shapes.T
 
     def density_grid(self, xs) -> np.ndarray:
         """pi at each x, shape (len(xs), phases)."""
-        rates, shapes = self._modes
-        return (self._exp_terms(xs) * rates) @ shapes.T
+        return (self._exp_terms(xs) * self.eigenvalues) @ self.mode_shapes.T
 
     def survival_grid(self, xs) -> np.ndarray:
         """P(level > x) at each x.
@@ -151,20 +126,19 @@ class SpectralSolution:
         Raises FluidTailError where a value is not a positive normal float,
         that is where the survival has underflowed.
         """
-        surv = -(self._exp_terms(xs) @ self._modes[1].sum(axis=0))
+        surv = -(self._exp_terms(xs) @ self.mode_shapes.sum(axis=0))
         _require_normal(surv, "survival")
         return surv
 
     def transform(self, alpha: float) -> np.ndarray:
         """Exponential-moment transforms of the phase densities.
 
-        Exact for the truncated system while alpha is below its spectral
-        gap; do not push alpha toward the decay rate, where the resolvent
-        solve loses accuracy.
+        Integral of e^{alpha x} pi_i(x) over x > 0, exact for the truncated
+        system while alpha is below its decay rate -eigenvalues[0]; the
+        value grows without bound as alpha approaches it.
         """
-        m = self._t11.shape[0]
-        sol = np.linalg.solve(-(self._t11 + alpha * np.eye(m)), self._coeffs)
-        return self._v1 @ (self._t11 @ sol)
+        s = self.eigenvalues
+        return -self.mode_shapes @ (s / (alpha + s))
 
     def boundary_vector(self) -> BoundaryVector:
         """Boundary masses of the draining phases, validated."""
@@ -181,6 +155,12 @@ class SpectralSolution:
 def solve_truncated(params: ModelParams, n_phases: int = 400) -> SpectralSolution:
     """Solve the truncated stationary system.
 
+    One tridiagonal eigensolve of K gives the decaying modes: a unit
+    eigenvector y of K with eigenvalue s gives the pencil eigenvector
+    psi = -R^{-1} L y / s, and phi = sqrt(xi) * psi in phase space.  One LU
+    solve of psi[c:] w = -sqrt(xi)[c:] then pins the weights, so that
+    b_k phi_k = sqrt(xi) * psi_k * w_k.
+
     Parameters
     ----------
     params : model parameters (must be stable)
@@ -193,23 +173,27 @@ def solve_truncated(params: ModelParams, n_phases: int = 400) -> SpectralSolutio
     require_stable(params)
     if n_phases < params.c + 10:
         raise ValueError(f"n_phases={n_phases} too small; need at least c+10")
-    q = _generator(params, n_phases)
-    rates = params.net_rates(n_phases + 1)
+    c = params.c
     xi = _truncated_stationary(params, n_phases)
-
-    a_t = (q @ np.diag(1.0 / rates)).T
-    t, v, sdim = schur(a_t, sort=lambda x: x.real < -1e-9, output="real")
-    expected = n_phases + 1 - params.c
-    if sdim != expected:
-        raise FluidTailError(f"stable subspace has dimension {sdim}, expected {expected}")
-    v1, t11 = v[:, :sdim], t[:sdim, :sdim]
-
-    sys = v1[params.c:, :]
-    coeffs, _, _, sv = np.linalg.lstsq(sys, -xi[params.c:], rcond=None)
-    condition = float(sv[0] / sv[-1])
-
-    eigenvalues = _pencil_eigenvalues(params, n_phases)
-    return SpectralSolution(params, n_phases, xi, v1, t11, coeffs, eigenvalues, condition)
+    diag, off, l_diag, l_sub, r_inv = _reduced_pencil(params, n_phases)
+    s, y = eigh_tridiagonal(diag, off)
+    stable = s < 0.0
+    s, y = s[stable][::-1], y[:, stable][:, ::-1]
+    if s.size != n_phases + 1 - c:
+        raise FluidTailError(f"pencil has {s.size} decaying modes, expected "
+                             f"{n_phases + 1 - c}")
+    ly = np.zeros((n_phases + 1, s.size))
+    ly[:-1] = l_diag[:, None] * y
+    ly[1:] += l_sub[:, None] * y
+    psi = -(r_inv[:, None] * ly) / s
+    root_xi = np.sqrt(xi)
+    pinned = psi[c:]
+    lu = lu_factor(pinned, check_finite=False)
+    weights = lu_solve(lu, -root_xi[c:], check_finite=False)
+    rcond, _ = lapack.dgecon(lu[0], np.linalg.norm(pinned, 1))
+    condition = 1.0 / rcond if rcond > 0.0 else math.inf
+    return SpectralSolution(params, n_phases, xi, s,
+                            root_xi[:, None] * psi * weights, condition)
 
 
 def _reduced_pencil(params: ModelParams, n_phases: int):
@@ -231,17 +215,6 @@ def _reduced_pencil(params: ModelParams, n_phases: int):
     diag = -(l_diag ** 2 * r_inv[:-1] + l_sub ** 2 * r_inv[1:])
     off = -(l_sub[:-1] * l_diag[1:] * r_inv[1:-1])
     return diag, off, l_diag, l_sub, r_inv
-
-
-def _pencil_eigenvalues(params: ModelParams, n_phases: int) -> np.ndarray:
-    """Decaying eigenvalues of the symmetrized pencil, closest to zero first.
-
-    The symmetric reduction keeps the top of the spectrum accurate where
-    the plain non-normal eigenproblem drifts by percents at N ~ 400.
-    """
-    diag, off, _, _, _ = _reduced_pencil(params, n_phases)
-    w = eigh_tridiagonal(diag, off, eigvals_only=True)
-    return w[w < 0.0][::-1]
 
 
 @dataclass(frozen=True)

@@ -243,3 +243,16 @@ def test_analyze_full_reports_cases_2_3(sol_case2, sol_case3):
     ratios = np.diff(np.log(prefs))
     assert np.all(np.exp(ratios) > 1.0 / rep3.z_star)
     assert np.exp(ratios[-1]) == pytest.approx(1.0 / rep3.z_star, rel=0.1)
+
+
+def test_analyze_low_load_c8_has_no_false_pole():
+    # the chain has no pole at alpha = 0; its polynomial form, with a wide
+    # coefficient range at c = 8, used to report one from boundary_mass_tail
+    from fluidtail.model import ModelParams
+    from fluidtail.spectral import solve_truncated
+
+    p = ModelParams(c=8, lam=0.2116, mu=9.077, r=0.5198)
+    sol = solve_truncated(p, 400)
+    rep = analyze(p, solution=sol)
+    assert rep.case is TailCase.BRANCH_ONLY
+    assert rep.alpha_star == pytest.approx(-sol.eigenvalues[0], rel=2e-2)

@@ -4,16 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CASE_I, CASE_III, random_stable_params
+from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_params
 from fluidtail.errors import FluidTailError
 from fluidtail.model import ModelParams, phase_stationary
 from fluidtail.spectral import (
     _generator,
+    _truncated_stationary,
     curves_csv,
     fit_decay,
     solve_truncated,
     summary_json,
 )
+
+# the benchmark's reference tuples: the three cases, a c=2 pole and c=8
+REFERENCE = [CASE_I, CASE_II, CASE_III, CASE_I_C2, ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)]
 
 
 def test_truncation_too_small():
@@ -61,15 +65,60 @@ def test_boundary_balance_c2(sol_case1_c2):
     assert slack == pytest.approx(p.c * sol_case1_c2.density(0.0)[0], rel=1e-7)
 
 
-def test_schur_basis_residual(sol_case1):
-    # the retained invariant subspace satisfies A^T V1 = V1 T11 to roundoff
-    p = sol_case1.params
-    q = _generator(p, sol_case1.n_phases)
-    rates = p.net_rates(sol_case1.n_phases + 1)
+def _schur_boundary_masses(p, n_phases):
+    """Dense reference: boundary masses from the stable Schur subspace.
+
+    Pi(0) = xi + V1 a over an orthonormal basis V1 of the stable invariant
+    subspace of (Q R^{-1})^T, with a pinned by Pi_i(0) = 0 for i >= c.
+    """
+    from scipy.linalg import schur
+
+    q = _generator(p, n_phases)
+    rates = p.net_rates(n_phases + 1)
+    xi = _truncated_stationary(p, n_phases)
     a_t = (q @ np.diag(1.0 / rates)).T
-    resid = a_t @ sol_case1._v1 - sol_case1._v1 @ sol_case1._t11
+    _, v, sdim = schur(a_t, sort=lambda x: x.real < -1e-9, output="real")
+    assert sdim == n_phases + 1 - p.c
+    v1 = v[:, :sdim]
+    coeffs = np.linalg.lstsq(v1[p.c:, :], -xi[p.c:], rcond=None)[0]
+    return (xi + v1 @ coeffs)[: p.c]
+
+
+def test_boundary_masses_match_schur_reference(rng):
+    tuples = REFERENCE + [random_stable_params(rng) for _ in range(8)]
+    for p in tuples:
+        ref = _schur_boundary_masses(p, 200)
+        got = solve_truncated(p, 200).boundary_masses[: p.c]
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0), p
+
+
+def test_mode_residual(sol_case1_c2):
+    # each retained mode satisfies s phi R = phi Q, i.e. A^T v = s v for
+    # A = Q R^{-1} and the unit column v = phi^T
+    p = sol_case1_c2.params
+    q = _generator(p, sol_case1_c2.n_phases)
+    rates = p.net_rates(sol_case1_c2.n_phases + 1)
+    a_t = (q @ np.diag(1.0 / rates)).T
+    v = sol_case1_c2.mode_shapes / np.linalg.norm(sol_case1_c2.mode_shapes, axis=0)
+    resid = a_t @ v - v * sol_case1_c2.eigenvalues
     scale = np.abs(a_t).max()
     assert np.abs(resid).max() < 1e-10 * scale
+
+
+def test_transform_matches_quadrature(sol_case1_c2):
+    # integral of e^{alpha x} pi_i(x) over x > 0 by Gauss-Legendre panels,
+    # graded near zero where the fast modes live, out to e^{-40} of the tail
+    alpha = 0.03
+    decay = -sol_case1_c2.eigenvalues[0] - alpha
+    edges = np.concatenate([[0.0], np.geomspace(1e-4, 40.0 / decay, 400)])
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(edges)
+    xs = (edges[:-1, None] + half[:, None] * (nodes + 1.0)).ravel()
+    ws = (half[:, None] * weights).ravel()
+    phases = list(range(sol_case1_c2.params.c + 3))
+    ref = (ws * np.exp(alpha * xs)) @ sol_case1_c2.density_grid(xs)[:, phases]
+    got = sol_case1_c2.transform(alpha)[phases]
+    assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 def test_pencil_eigenpair_residual():
