@@ -4,9 +4,10 @@ The phase process jumps at exponential clocks (rate lam up, min(i, c)*mu
 down); between jumps the level moves linearly at the phase's net rate and is
 reflected at zero.  The time-stationary law is estimated by sampling at a
 fixed stride, which is what the analytic pipeline's stationary quantities
-refer to.  Randomness comes from a counter-based generator (Philox), so runs
-are reproducible bit-for-bit across backends and trivially parallel across
-seeds.
+refer to.  Randomness comes from a counter-based generator (Philox), so a
+(config, seed) pair always gives the same output and runs are trivially
+parallel across seeds.  One vectorized engine (`_sim_core.advance`) moves
+the sample path through each chunk of random draws.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import InsufficientSamplesError
 from .model import ModelParams, require_stable
 
 _CHUNK = 1 << 20  # random numbers drawn per kernel call
+_PIECE = 1 << 16  # samples binned at once
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,7 @@ class SurvivalEstimate:
 def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     """Run the simulation described by config.
 
-    Identical (config, seed) pairs produce identical outputs regardless of
-    the numba/numpy backend choice.
+    Identical (config, seed) pairs produce identical outputs.
     """
     require_stable(config.params)
     p = config.params
@@ -146,20 +147,25 @@ def _tabulate(config: SimConfig, levels: np.ndarray, phases: np.ndarray):
     edges = np.linspace(0.0, top * (1 + 1e-9), n_bins + 1)
     grid = edges[1:]
     n = max(levels.size, 1)
-    counts, _ = np.histogram(levels, bins=edges)
-    survival = 1.0 - np.cumsum(counts) / n
-    phase_survival = np.empty((config.tracked_phases + 1, n_bins))
-    for i in range(config.tracked_phases + 1):
-        ci, _ = np.histogram(levels[phases == i], bins=edges)
-        phase_survival[i] = (np.sum(phases == i) - np.cumsum(ci)) / n
-    # per-block histograms for the bootstrap
-    block_of = np.minimum(
-        (np.arange(levels.size) * config.n_blocks) // max(levels.size, 1),
-        config.n_blocks - 1,
-    )
-    block_counts = np.zeros((config.n_blocks, n_bins))
-    for b in range(config.n_blocks):
-        block_counts[b], _ = np.histogram(levels[block_of == b], bins=edges)
+    n_phases = config.tracked_phases + 1
+    per_phase = np.zeros(n_phases * n_bins, np.int64)
+    per_block = np.zeros(config.n_blocks * n_bins, np.int64)
+    # pieces of samples keep the index arrays small
+    for lo in range(0, levels.size, _PIECE):
+        x = levels[lo:lo + _PIECE]
+        # uniform-bin index, moved by one where roundoff puts a level across its edge:
+        # bin i holds edges[i] <= level < edges[i + 1], as np.histogram counts
+        idx = np.minimum((x * (n_bins / edges[-1])).astype(np.intp), n_bins - 1)
+        idx -= x < edges[idx]
+        idx += (x >= edges[idx + 1]) & (idx < n_bins - 1)
+        per_phase += np.bincount(phases[lo:lo + _PIECE] * n_bins + idx, minlength=per_phase.size)
+        # per-block histograms for the bootstrap
+        block_of = (np.arange(lo, lo + x.size) * config.n_blocks) // n
+        per_block += np.bincount(block_of * n_bins + idx, minlength=per_block.size)
+    per_phase = per_phase.reshape(n_phases, n_bins)
+    survival = 1.0 - np.cumsum(per_phase.sum(axis=0)) / n
+    phase_survival = (per_phase.sum(axis=1, keepdims=True) - np.cumsum(per_phase, axis=1)) / n
+    block_counts = per_block.reshape(config.n_blocks, n_bins).astype(float)
     return grid, survival, phase_survival, block_counts
 
 
@@ -196,23 +202,36 @@ def fit_tail(
             f"{in_window} samples in window {window}; need {min_samples}"
         )
     grid = np.linspace(x_lo, x_hi, n_grid)
+    # linear interpolation of the survival tables onto the fit grid, as np.interp
+    j = np.clip(np.searchsorted(est.grid, grid, side="right") - 1, 0, est.grid.size - 2)
+    frac = np.clip((grid - est.grid[j]) / (est.grid[j + 1] - est.grid[j]), 0.0, 1.0)
 
-    def slope(counts_total):
-        surv = 1.0 - np.cumsum(counts_total) / counts_total.sum()
-        s = np.interp(grid, est.grid, surv)
+    def slopes(counts_total):
+        """Fitted rate of each row of histogram totals; zero-survival points are left out."""
+        surv = 1.0 - np.cumsum(counts_total, axis=1) / counts_total.sum(axis=1, keepdims=True)
+        s = surv[:, j] + (surv[:, j + 1] - surv[:, j]) * frac
         ok = s > 0
-        y = np.log(s[ok]) - power * np.log(grid[ok])
-        design = np.vstack([np.ones(ok.sum()), grid[ok]]).T
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        return -coef[1]
+        n_ok = ok.sum(axis=1, keepdims=True)
+        x = np.where(ok, grid, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.where(ok, np.log(s) - power * np.log(grid), 0.0)
+            dx = np.where(ok, x - x.sum(axis=1, keepdims=True) / n_ok, 0.0)
+            dy = np.where(ok, y - y.sum(axis=1, keepdims=True) / n_ok, 0.0)
+            slope = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+        # below two points, the minimum-norm solution that np.linalg.lstsq returns
+        few = n_ok[:, 0] < 2
+        slope[few] = ((x * y).sum(axis=1) / (1.0 + (x * x).sum(axis=1)))[few]
+        return -slope
 
-    rate = slope(est.block_counts.sum(axis=0))
+    rate = slopes(est.block_counts.sum(axis=0)[None, :])[0]
     rng = np.random.Generator(np.random.Philox(est.config.seed + 0x5EED))
     n_blocks = est.block_counts.shape[0]
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        pick = rng.integers(0, n_blocks, n_blocks)
-        boots[b] = slope(est.block_counts[pick].sum(axis=0))
+    # row b holds the blocks of resample b, drawn in the order of n_boot separate draws
+    picks = rng.integers(0, n_blocks, (n_boot, n_blocks))
+    rows = np.repeat(np.arange(n_boot), n_blocks)
+    weights = np.bincount(rows * n_blocks + picks.ravel(), minlength=n_boot * n_blocks)
+    # integer counts: the weighted sums are exact in any order
+    boots = slopes(weights.reshape(n_boot, n_blocks) @ est.block_counts)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return TailFit(rate=float(rate), ci_low=float(lo), ci_high=float(hi),
                    window=(x_lo, x_hi), n_window=in_window)

@@ -131,7 +131,6 @@ def test_pencil_eigenpair_residual():
     a = q @ np.diag(1.0 / rates)
     scale = np.abs(a).max()
     for s in sol.eigenvalues[:3]:
-        m = a.T - np.conj(s) * np.eye(n + 1)
         sigma_min = np.linalg.svd(a.T - s * np.eye(n + 1), compute_uv=False)[-1]
         assert sigma_min < 1e-8 * scale
 
