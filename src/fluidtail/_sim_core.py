@@ -5,9 +5,12 @@ chunk of pre-drawn randomness.  Event k of the chunk waits `exps[k] / rate`
 and jumps up iff `us[k] * rate < lam`, where `rate = lam + min(phase, c) mu`;
 the event cut by the horizon is not consumed.  Only the phase path is a
 sequential recursion; event times, levels, samples and the occupation times
-are whole-array operations over sub-blocks of at most `_BLOCK` events.
+are whole-array operations over sub-blocks of at most `_BLOCK` events.  Once
+the horizon is in sight, a sub-block is sized from the time left and the
+event rate so far, so that few events are built past the horizon.
 """
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -38,9 +41,9 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
     """
     max_phase = sojourn.shape[1] - 1
     rates = lam + np.arange(c + 1) * mu
-    used = 0
+    used, t0, size = 0, t, _BLOCK
     while used < exps.shape[0] and t < t_end:
-        k1 = min(used + _BLOCK, exps.shape[0])
+        k1 = min(used + size, exps.shape[0])
         u = us[used:k1]
         # up iff min(x, c) < m, m = #{j <= c : u rates[j] < lam}; m = c + 1 is up for all x
         m = np.zeros(u.shape[0], np.int64)
@@ -117,4 +120,9 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
         level = float(levels[-1])
         t = float(ends[-1])
         used += consumed
+        if t > t0:
+            # events expected before the horizon, with a margin of four standard deviations;
+            # a sub-block that still falls short is followed by another
+            expected = (t_end - t) * used / (t - t0)
+            size = min(_BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 64)
     return phase, level, t, next_sample, n_written, used

@@ -297,3 +297,24 @@ def test_advance_matches_per_event_reference(params, monkeypatch):
     assert level == pytest.approx(ref_level, abs=1e-9)
     assert np.allclose(out_level, ref_out_level, rtol=0.0, atol=1e-9)
     assert np.allclose(sojourn, ref_sojourn, rtol=0.0, atol=1e-9)
+
+
+def test_advance_builds_few_events_past_the_horizon(monkeypatch):
+    # the last sub-block is sized from the time left, not built whole
+    steps = 0
+    step = _sim_core._step
+
+    def counting_step(x, threshold):
+        nonlocal steps
+        steps += 1
+        return step(x, threshold)
+
+    monkeypatch.setattr(_sim_core, "_step", counting_step)
+    rng = np.random.Generator(np.random.Philox(3))
+    exps, us = rng.standard_exponential(1 << 18), rng.random(1 << 18)
+    p, horizon = CASE_I, 4e4
+    *_, used = _sim_core.advance(
+        0, 0.0, 0.0, horizon, 10.0, 0.5, 10.5, 0, p.lam, p.mu, p.c, p.r, exps, us,
+        np.zeros(1 << 17), np.zeros(1 << 17, np.int64), np.zeros((4, 6)), horizon / 4, 4)
+    assert 1 << 16 < used < exps.shape[0]
+    assert steps - used < 0.01 * used

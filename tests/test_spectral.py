@@ -92,6 +92,38 @@ def test_boundary_masses_match_schur_reference(rng):
         assert got == pytest.approx(ref, rel=1e-10, abs=0.0), p
 
 
+def test_mode_sum_reproduces_boundary_masses(rng):
+    # the weights are inner products, not a solve pinning Pi_i(0) = 0 for
+    # i >= c, so the mode sum at x = 0 must still vanish in the filling
+    # phases and give the masses of the c x c solve in the draining ones
+    tuples = REFERENCE + [random_stable_params(rng, c_choices=tuple(range(1, 9)))
+                          for _ in range(8)]
+    for p in tuples:
+        sol = solve_truncated(p, 200)
+        at_zero = sol.xi + sol.mode_shapes.sum(axis=1)
+        assert np.abs(at_zero[p.c:]).max() <= 1e-12 * sol.xi.max(), p
+        assert at_zero[: p.c] == pytest.approx(sol.boundary_masses[: p.c], rel=1e-10, abs=0.0), p
+
+
+def test_low_load_c8_is_finite():
+    # xi underflows to zero in the high phases here; nothing may divide by it
+    sol = solve_truncated(ModelParams(c=8, lam=0.2116, mu=9.077, r=0.5198), 400)
+    assert sol.xi[-1] == 0.0
+    assert np.all(np.isfinite(sol.boundary_masses))
+    assert np.all(np.isfinite(sol.mode_shapes))
+    assert np.all(sol.boundary_masses[:8] > 0.0)
+
+
+def test_truncated_stationary_balance():
+    # lam xi_i = min(i + 1, c) mu xi_{i+1}: the birth-death product form
+    for p in REFERENCE:
+        xi = _truncated_stationary(p, 200)
+        service = np.minimum(np.arange(1, 201), p.c) * p.mu
+        assert xi.sum() == pytest.approx(1.0, rel=1e-14)
+        keep = xi[1:] > 1e-250
+        assert p.lam * xi[:-1][keep] == pytest.approx((service * xi[1:])[keep], rel=1e-11)
+
+
 def test_mode_residual(sol_case1_c2):
     # each retained mode satisfies s phi R = phi Q, i.e. A^T v = s v for
     # A = Q R^{-1} and the unit column v = phi^T
