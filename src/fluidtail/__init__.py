@@ -37,9 +37,20 @@ from .model import (
 )
 from .roots import CoeffZero, find_coeff_zero, rationalized_zero_poly
 from .simulate import SimConfig, SurvivalEstimate, fit_tail, simulate
-from .spectral import SpectralSolution, fit_decay, solve_truncated
 
 __version__ = "0.1.0"
+
+# the spectral oracle loads scipy.linalg; it is imported on first use only
+_SPECTRAL = ("SpectralSolution", "fit_decay", "solve_truncated")
+
+
+def __getattr__(name):
+    if name in _SPECTRAL:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AssumptionViolatedError",

@@ -10,8 +10,11 @@ phase-(c-1) density transform:
 * BRANCH_ONLY     - no zero in (0, alpha1]: alpha* = alpha1 and
                     density ~ C * exp(-alpha* x) * x^(-3/2).
 
-All prefactors are computed from the folded identity with the boundary
-masses supplied by the spectral oracle (they enter linearly).  Per-phase
+All prefactors are computed from the folded identity.  The boundary masses
+enter it linearly; kernel_boundary finds them from the same identity, as
+the masses that make the transform numerator vanish at the c-1 zeros of
+the folded coefficient on the negative axis, plus the stationary mean
+drift.  No truncation is involved.  Per-phase
 prefactors come from exact coefficient extraction of the folded-coefficient/
 kernel ratio, whose value at z = 0 is exactly 1, anchoring phase c-1.
 """
@@ -29,6 +32,7 @@ from .cfrac import (
     BoundaryVector,
     boundary_gf,
     boundary_gf_dz,
+    checked_boundary,
     density_coeff_reduced,
     density_coeff_reduced_dz,
     forcing_reduced,
@@ -45,7 +49,12 @@ from .kernel import (
     branch_small,
 )
 from .model import ModelParams, phase_stationary, require_stable
-from .roots import CoeffZero, _derivatives_fd, composed_coeff, find_coeff_zero
+from .roots import CoeffZero, _derivatives_fd, composed_coeff, find_coeff_zero, growing_zeros
+
+
+# kernel boundary masses with a larger relative error estimate are refused;
+# their share of a prefactor's error would near validate's 2% tolerance
+_MASS_RTOL = 1e-3
 
 
 class TailCase(enum.Enum):
@@ -205,6 +214,7 @@ class TailReport:
     marginal_prefactor: float
     d_ztilde: float             # residue constant of the boundary generating function
     boundary: BoundaryVector
+    boundary_err: float         # relative error estimate of the boundary masses
     zero: CoeffZero = field(repr=False)
 
 
@@ -329,39 +339,79 @@ def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> Boundar
     return BoundaryMassTail(d_ztilde=d, z_tilde=zt, ratio=1.0 / zt, alpha_at_pole=0.0)
 
 
-def analyze(
-    params: ModelParams,
-    n_phases: int = 400,
-    solution=None,
-) -> TailReport:
+def kernel_boundary(params: ModelParams) -> tuple:
+    """Boundary masses Pi_i(0), i < c, from the kernel identity alone.
+
+    Returns (BoundaryVector with source "kernel", relative error estimate).
+    The transform numerator is linear in the masses p_i = Pi_i(0) and must
+    vanish at each of the c-1 growing zeros a < 0 of the folded coefficient
+    (roots.growing_zeros).  Let Q_z be the generator's block on the draining
+    phases 0..c-1 with the rate lam from phase c-1 to phase c put back on
+    the diagonal as lam z, z = branch_small(a), and R = diag(i - c).  The
+    first c-1 entries of Q_z^T p are the source constants
+    (cfrac.source_constants), and the numerator times
+    D_{c-2} / (lam^(c-1) z^c), D the chain denominators, is u . Q_z^T p for
+    the vector u_0 = 1,
+
+        lam u_{i+1} = ((c-i) a + lam + i mu) u_i - i mu u_{i-1},
+
+    that is u_i = D_{i-1} / lam^i.  Rows 0..c-2 of (Q_z + a R) u = 0 hold
+    by construction and row c-1 holds exactly where f vanishes, so there
+    u . Q_z^T p = -a sum_i (i-c) u_i p_i.  Each growing zero thus gives the
+    R-orthogonality row sum_i (i-c) u_i p_i = 0, and the zero mode (a = 0,
+    u = 1) gives sum_i (i-c) p_i = mean drift; for c = 1 that alone reads
+    Pi_0(0) = -mean drift.  As in spectral.solve_truncated the c x c system
+    is solved for t_i = Pi_i(0) / xi_i, after scaling each row to unit
+    max-norm.  The error estimate is the system's 1-norm condition number
+    times its componentwise backward error (at least machine epsilon).  The
+    recurrence for u loses digits as c grows, fastest at low load; an
+    estimate above _MASS_RTOL raises FluidTailError.
+    """
+    c, lam, mu = params.c, params.lam, params.mu
+    i = np.arange(c)
+    u = np.ones((c, c))
+    if c > 1:
+        a = growing_zeros(params)
+        u[1:, 1] = (c * a + lam) / lam
+        for n in range(1, c - 1):
+            u[1:, n + 1] = (((c - n) * a + lam + n * mu) * u[1:, n] - n * mu * u[1:, n - 1]) / lam
+    xi = phase_stationary(params).probs(c)
+    system = u * ((i - c) * xi)
+    rhs = np.zeros(c)
+    rhs[0] = require_stable(params).mean_drift
+    scale = np.abs(system).max(axis=1)
+    system /= scale[:, None]
+    rhs /= scale
+    t = np.linalg.solve(system, rhs)
+    backward = np.abs(system @ t - rhs) / (np.abs(system) @ np.abs(t) + np.abs(rhs))
+    err = float(np.linalg.cond(system, 1) * max(np.finfo(float).eps, float(backward.max())))
+    if not err < _MASS_RTOL:
+        raise FluidTailError(
+            f"kernel boundary masses too inaccurate: error estimate {err:.2g} "
+            f"is not below {_MASS_RTOL:g} (c={c})"
+        )
+    return checked_boundary(params, t * xi, "kernel"), err
+
+
+def analyze(params: ModelParams) -> TailReport:
     """Run the full analytic pipeline and assemble a TailReport.
 
-    The boundary masses (needed by every prefactor) come from the spectral
-    oracle, solved here unless a ready SpectralSolution is passed in.  Error
-    bars combine the finite-difference spread with the boundary truncation
-    error measured by re-solving at half the truncation.
+    The boundary masses, which every prefactor needs, come from
+    kernel_boundary.  The error bar of the transform constant combines the
+    finite-difference spread (pole case) with the masses' relative error
+    estimate.
     """
     require_stable(params)
-    from .spectral import solve_truncated  # local import keeps module load light
-
     zero = find_coeff_zero(params)
     case, alpha_star = classify(params, zero)
-    if solution is None:
-        solution = solve_truncated(params, n_phases)
-    boundary = solution.boundary_vector()
-    half = solve_truncated(params, max(params.c + 10, n_phases // 2))
-    boundary_half = half.boundary_vector()
-
-    def case_constant(bnd):
-        if case is TailCase.POLE:
-            return constant_simple_pole(params, bnd, zero)
-        if case is TailCase.POLE_AT_BRANCH:
-            return constant_pole_at_branch(params, bnd), 0.0
-        return constant_branch_only(params, bnd), 0.0
-
-    c_const, fd_err = case_constant(boundary)
-    c_half, _ = case_constant(boundary_half)
-    c_err = fd_err + abs(c_const - c_half)
+    boundary, boundary_err = kernel_boundary(params)
+    if case is TailCase.POLE:
+        c_const, fd_err = constant_simple_pole(params, boundary, zero)
+    elif case is TailCase.POLE_AT_BRANCH:
+        c_const, fd_err = constant_pole_at_branch(params, boundary), 0.0
+    else:
+        c_const, fd_err = constant_branch_only(params, boundary), 0.0
+    c_err = fd_err + boundary_err * abs(c_const)
 
     k = zero.multiplicity if case is TailCase.POLE else 1
     pref, power = density_prefactor(case, c_const, k)
@@ -383,6 +433,7 @@ def analyze(
         marginal_prefactor=0.0,
         d_ztilde=0.0,
         boundary=boundary,
+        boundary_err=boundary_err,
         zero=zero,
     )
     marg = marginal_tail(params, report)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import PoleError
+from .errors import FluidTailError, PoleError
 from .kernel import density_coeff, mass_coeff, mass_coeff_dz
 from .model import ModelParams
 
@@ -121,6 +121,22 @@ class BoundaryVector:
 
     def __len__(self) -> int:
         return len(self.masses)
+
+
+def checked_boundary(params: ModelParams, masses, source: str) -> BoundaryVector:
+    """BoundaryVector of the draining-phase masses of a solve, validated.
+
+    Refuses a negative mass beyond roundoff and masses that break the
+    level-zero balance lam Pi_0(0) >= mu Pi_1(0).
+    """
+    p = np.asarray(masses[: params.c], dtype=float)
+    if np.any(p < -1e-10):
+        raise FluidTailError(f"negative boundary mass from the solve: {p.min()}")
+    if params.c >= 2:
+        slack = params.lam * p[0] - params.mu * p[1]
+        if slack < -1e-9 * max(1.0, abs(p[0])):
+            raise FluidTailError(f"boundary masses violate the level-zero balance: {slack}")
+    return BoundaryVector(masses=tuple(np.maximum(p, 0.0)), source=source)
 
 
 def source_constants(params: ModelParams, boundary: BoundaryVector) -> np.ndarray:

@@ -8,12 +8,13 @@ versioned with a top-level ``schema`` field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from . import asymptotics, spectral
+from . import asymptotics
 from .simulate import SimConfig, default_window, fit_tail, simulate, summary_json, survival_csv
 from .asymptotics import TailCase
 from .errors import FluidTailError
@@ -63,7 +64,7 @@ def _report_payload(report) -> dict:
                                    b_err * abs(report.marginal_prefactor)),
         "boundary_residue": _val(report.d_ztilde, "analytic"),
         "z_tilde": _val(report.z_tilde, "analytic"),
-        "boundary_masses": _val(list(report.boundary.masses), "spectral"),
+        "boundary_masses": _val(list(report.boundary.masses), "analytic", report.boundary_err),
     }
 
 
@@ -81,13 +82,15 @@ def _report_csv(payload: dict) -> str:
 
 def cmd_analyze(args) -> int:
     params = _params(args)
-    report = asymptotics.analyze(params, n_phases=args.truncation)
+    report = asymptotics.analyze(params)
     payload = _report_payload(report)
     _emit(args, payload, _report_csv(payload))
     return 0
 
 
 def cmd_solve(args) -> int:
+    from . import spectral
+
     params = _params(args)
     sol = spectral.solve_truncated(params, args.truncation)
     if args.format == "csv":
@@ -115,9 +118,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import spectral
+
     params = _params(args)
     sol = spectral.solve_truncated(params, args.truncation)
-    report = asymptotics.analyze(params, n_phases=args.truncation, solution=sol)
+    report = asymptotics.analyze(params)
     s1 = float(sol.eigenvalues[0].real)
     spectral_rate_err = abs(s1 + report.alpha_star) / report.alpha_star
     tol_eig = args.tol_spectral_rate
@@ -144,6 +149,13 @@ def cmd_validate(args) -> int:
         phase_stationary(params).prob(params.c - 1) * report.z_tilde ** params.c
     )
     residue_err = abs(report.d_ztilde - residue_ref) / residue_ref
+    # the kernel masses against the oracle's; lam / (c mu) is the rate at
+    # which the truncated phases' mass decays, so its N-th power bounds the
+    # oracle's own truncation error
+    kernel_masses = np.asarray(report.boundary.masses)
+    oracle_masses = sol.boundary_masses[: params.c]
+    mass_err = float(np.max(np.abs(kernel_masses - oracle_masses) / oracle_masses))
+    tol_mass = 1e-10 + 100.0 * (params.lam / (params.c * params.mu)) ** args.truncation
     checks = {
         "spectral_rate": {"value": spectral_rate_err, "tol": tol_eig,
                           "pass": spectral_rate_err < tol_eig},
@@ -151,6 +163,8 @@ def cmd_validate(args) -> int:
                                        "pass": mc_vs_spectral < args.tol_mc_rate},
         "boundary_residue": {"value": float(residue_err), "tol": 1e-5,
                              "pass": bool(residue_err < 1e-5 and report.d_ztilde > 0.0)},
+        "boundary_masses": {"value": mass_err, "tol": tol_mass,
+                            "pass": mass_err < tol_mass},
     }
     prefactor_fit = None
     if report.case is TailCase.POLE:
@@ -186,6 +200,7 @@ def cmd_validate(args) -> int:
     return 0 if payload["all_pass"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluidtail",
@@ -205,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run the analytic pipeline")
     add_params(p_an)
     p_an.add_argument("--truncation", type=int, default=400,
-                      help="oracle phases for the boundary masses")
+                      help="no longer affects analyze, whose boundary masses come "
+                           "from the kernel method; kept for callers that pass it")
     p_an.set_defaults(fn=cmd_analyze)
 
     p_so = sub.add_parser("solve", help="solve the truncated stationary system")

@@ -92,6 +92,21 @@ def branch_small(params: ModelParams, alpha: complex) -> complex:
     return _branch_pair(params, alpha)[0]
 
 
+def branch_small_real(params: ModelParams, alpha):
+    """branch_small for real alpha <= alpha1, as floats or a numpy array.
+
+    Uses the cancellation-free form 2 c mu / (b + sqrt(disc)) of the small
+    root (the product of the roots is c mu / lam).  As in branch_small, a
+    discriminant within _DOUBLE_ROOT_TOL of zero gives the double root.
+    Negative alpha give values in (0, 1).
+    """
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    b = -alpha * r + lam + c * mu   # rounded as in branch_small; disc cancels near alpha1
+    disc = b * b - 4.0 * c * lam * mu
+    disc = disc * (abs(disc) >= _DOUBLE_ROOT_TOL * (b * b + 4.0 * c * lam * mu))
+    return 2.0 * c * mu / (b + disc ** 0.5)
+
+
 def branch_large(params: ModelParams, alpha: complex) -> complex:
     """Large-modulus root of K(alpha, .) = 0."""
     return _branch_pair(params, alpha)[1]

@@ -7,11 +7,11 @@ at rate ``lam``, per-server rate ``mu``).  The fluid level drains at rate
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CertificateNotFoundError, UnstableModelError
 
@@ -67,9 +67,8 @@ class PhaseDistribution:
         self.rho = params.lam / params.mu
         self.tail_ratio = params.lam / (params.c * params.mu)
         c, log_rho = params.c, math.log(self.rho)
-        i = np.arange(c)
-        log_terms = i * log_rho - gammaln(i + 1)
-        log_last = c * log_rho - gammaln(c) - math.log(c - self.rho)
+        log_terms = np.arange(c) * log_rho - _log_factorials(c)
+        log_last = c * log_rho - math.lgamma(c) - math.log(c - self.rho)
         self._log_xi0 = -_logsumexp(np.append(log_terms, log_last))
 
     def prob(self, i: int) -> float:
@@ -78,15 +77,15 @@ class PhaseDistribution:
         if i < 0:
             return 0.0
         if i <= c:
-            return math.exp(self._log_xi0 + i * log_rho - float(gammaln(i + 1)))
+            return math.exp(self._log_xi0 + i * log_rho - math.lgamma(i + 1))
         return self.prob(c) * self.tail_ratio ** (i - c)
 
     def probs(self, n: int) -> np.ndarray:
         """Vector of stationary probabilities for phases 0..n-1."""
         c, log_rho = self.params.c, math.log(self.rho)
-        i = np.arange(n)
-        head = self._log_xi0 + i * log_rho - gammaln(i + 1)
-        out = np.exp(head)
+        m = min(n, c + 1)
+        out = np.empty(n)
+        out[:m] = np.exp(self._log_xi0 + np.arange(m) * log_rho - _log_factorials(m))
         if n > c + 1:
             j = np.arange(c + 1, n)
             out[c + 1:] = self.prob(c) * self.tail_ratio ** (j - c)
@@ -124,6 +123,7 @@ class StabilityReport:
         return self.stable
 
 
+@functools.lru_cache(maxsize=128)
 def is_stable(params: ModelParams) -> StabilityReport:
     """Check the stationarity condition for the fluid level.
 
@@ -145,8 +145,8 @@ def is_stable(params: ModelParams) -> StabilityReport:
         log_terms = (
             np.log(c - i.astype(float))
             + (i + 1.0 - c) * (math.log(lam) - math.log(mu))
-            + gammaln(c)
-            - gammaln(i + 1)
+            + math.lgamma(c)
+            - _log_factorials(c - 1)
         )
         s = math.exp(_logsumexp(log_terms))
         rhs = c * mu + (c * mu - lam) * s
@@ -242,6 +242,11 @@ def drift_certificate(params: ModelParams, n_grid: int = 400) -> DriftCertificat
             f"for c={c}, lam={lam}, mu={mu}, r={r}"
         )
     return best
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(i!) for i = 0..n-1, as a running sum of logs."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n)))))[:n]
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -1,11 +1,16 @@
-"""Locating the decay-rate candidate: the zero of the folded coefficient.
+"""Real zeros of the folded coefficient.
 
-The candidate decay rate is the unique zero of
-f(alpha) = density_coeff_reduced(alpha, branch_small(alpha)) inside
+The folded coefficient is f(alpha) = density_coeff_reduced(alpha,
+branch_small(alpha)).  The candidate decay rate is its unique zero inside
 (0, alpha1].  Rationalizing f against its large-branch twin gives a real
 polynomial whose roots contain every zero of either factor; candidate roots
 are then attributed to the correct factor by direct evaluation and polished
 on the recursively-evaluated composed function.
+
+On the negative axis f has c-1 more zeros, the negated growing eigenvalues
+of the stationary system, where the boundary masses are pinned down
+(asymptotics.kernel_boundary).  A Sturm count of the chain's pivots
+isolates each of them, and Brent's method finds it.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from .cfrac import (
     ratio_chain,
     ratio_chain_value,
 )
-from .errors import AssumptionViolatedError
-from .kernel import boundary_coeff, branch_large, branch_points, branch_small
+from .errors import AssumptionViolatedError, FluidTailError
+from .kernel import boundary_coeff, branch_large, branch_points, branch_small, branch_small_real
 from .model import ModelParams, require_stable
 
 # relative tolerances of the zero search
 _ZERO_TOL = 1e-8        # |f| below this (times the local term scale) counts as a zero
 _AT_BRANCH_RTOL = 1e-9  # closer than this to alpha1 counts as "at the branch point"
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_MAX_BISECTIONS = 200   # enough to shrink any double interval to a few ulps
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,140 @@ def composed_coeff(params: ModelParams, alpha, large_branch: bool = False):
 
 
 def _coeff_scale(params: ModelParams, alpha1: float) -> float:
+    """max |f| over a 101-point grid on (0, alpha1), for reporting.
+
+    The grid is evaluated as one array: the chain recursion of
+    ratio_chain_values (it has no pole for alpha > 0) and composed_coeff's
+    formula on the real small branch.
+    """
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
     grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
-    return max(abs(complex(composed_coeff(params, a)).real) for a in grid)
+    a_last = 0.0
+    for i in range(c - 1):
+        a_last = (i + 1) * mu / ((c - i) * grid + lam + i * mu - lam * a_last)
+    z = branch_small_real(params, grid)
+    f = (lam * a_last + mu - grid * r - grid) * z ** c - c * mu * z ** (c - 1)
+    return float(np.max(np.abs(f)))
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of f between a and b, given fa and fb of opposite signs.
+
+    Brent's method (Brent, "Algorithms for Minimization without
+    Derivatives", 1973, ch. 4): inverse quadratic or secant steps, with a
+    bisection whenever they would not shrink the bracket fast enough.  Stops
+    at a bracket a few ulps wide.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(200):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 4.0 * _EPS * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            break
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b
+
+
+def _folded_count(params: ModelParams, alpha: float) -> tuple:
+    """(Sturm count, pole-free value) of the folded coefficient at alpha < 0.
+
+    With D_i the denominator polynomial of ratio_chain's A_i (D_{-1} = 1),
+    the recursion denominators of ratio_chain_values are the pivots
+    den_i = D_i / D_{i-1}, and g = f / z^(c-1) closes them at phase c-1.
+    The count is the number of negative den_i plus one if g > 0.  Across a
+    chain pole one pivot and the next change sign together, so the count
+    only changes where g has a zero: it is c at alpha = -2 (lam + c mu) and
+    falls by one at each growing zero, to 1 just below alpha = 0.  As in a
+    Sturm sequence, the computed pivots are the exact ones of slightly
+    perturbed rates, so the count stays right however close a zero lies to
+    a pole.
+
+    The value is D_{c-2} g, the pole-free product f D_{c-2} / z^(c-1),
+    divided by a positive factor that keeps it finite for large c.  It is
+    continuous in alpha, vanishes exactly at the zeros, and its sign is
+    (-1)^(count-1).
+    """
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    scale = abs(alpha) + lam + c * mu
+    count, value, den = 0, 1.0, 1.0
+    for i in range(c - 1):
+        den = (c - i) * alpha + lam + i * mu - (lam * i * mu / den if i else 0.0)
+        if den == 0.0:
+            den = -_TINY   # a pivot that is exactly zero counts as negative
+        count += den < 0.0
+        value *= den / ((c - i) * scale)
+    z = branch_small_real(params, alpha)
+    g = z * (mu - alpha * (r + 1.0) + (c - 1) * lam * mu / den) - c * mu
+    return count + (g > 0.0), value * g
+
+
+def growing_zeros(params: ModelParams) -> np.ndarray:
+    """The c-1 zeros of f on the negative axis, ascending (empty for c = 1).
+
+    They are the negated growing eigenvalues of the infinite stationary
+    system, and all lie above -B with B = 2 (lam + c mu), the Gershgorin
+    bound on those eigenvalues.  Bisection on the Sturm count of
+    _folded_count isolates each zero in an interval where the count falls by
+    exactly one; there the pole-free value changes sign, and Brent's method
+    finds the zero on it.  On lightly loaded tuples a zero can lie closer to
+    a chain pole than rounding resolves, which the count does not mind.
+    Raises FluidTailError when the count at -B is not c.
+    """
+    c = params.c
+    lo = -2.0 * (params.lam + c * params.mu)
+    n_lo, h_lo = _folded_count(params, lo)
+    if n_lo != c:
+        raise FluidTailError(
+            f"Sturm count {n_lo} at alpha={lo}; expected c = {c}, one more than "
+            f"the number of growing zeros"
+        )
+    zeros = np.empty(c - 1)
+    h = lambda a: _folded_count(params, a)[1]
+    for k in range(c - 1):
+        target = c - 1 - k   # the count just right of zero k
+        # just below 0 the count is 1 (<= target); 0 itself is a zero of f
+        hi, n_hi, h_hi = 0.0, 1, 0.0
+        for _ in range(_MAX_BISECTIONS):
+            if n_lo == target + 1 and n_hi == target and h_hi != 0.0:
+                break
+            mid = 0.5 * (lo + hi)
+            n_mid, h_mid = _folded_count(params, mid)
+            if n_mid > target:
+                lo, n_lo, h_lo = mid, n_mid, h_mid
+            else:
+                hi, n_hi, h_hi = mid, n_mid, h_mid
+        else:
+            raise FluidTailError(f"growing zero {k} of c-1 = {c - 1} not isolated")
+        zeros[k] = _brent(h, lo, hi, h_lo, h_hi)
+        lo, n_lo, h_lo = hi, n_hi, h_hi
+    return zeros
 
 
 def term_scale(params: ModelParams, alpha, large_branch: bool = False) -> float:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
-from .cfrac import BoundaryVector
+from .cfrac import BoundaryVector, checked_boundary
 from .errors import FluidTailError
 from .model import ModelParams, require_stable
 
@@ -173,14 +173,7 @@ class SpectralSolution:
 
     def boundary_vector(self) -> BoundaryVector:
         """Boundary masses of the draining phases, validated."""
-        p = self.boundary_masses[: self.params.c]
-        if np.any(p < -1e-10):
-            raise FluidTailError(f"negative boundary mass from the solve: {p.min()}")
-        if self.params.c >= 2:
-            slack = self.params.lam * p[0] - self.params.mu * p[1]
-            if slack < -1e-9 * max(1.0, abs(p[0])):
-                raise FluidTailError(f"boundary masses violate the level-zero balance: {slack}")
-        return BoundaryVector(masses=tuple(np.maximum(p, 0.0)), source="spectral-oracle")
+        return checked_boundary(self.params, self.boundary_masses, "spectral-oracle")
 
 
 def solve_truncated(params: ModelParams, n_phases: int = 400) -> SpectralSolution:

@@ -221,7 +221,7 @@ def test_criterion_4_literal_case3_mc_rate():
 def test_criterion_5_prefactor_case1(rates_setup):
     t0 = time.time()
     sol = rates_setup["I"]
-    rep = analyze(CASE_I, solution=sol)
+    rep = analyze(CASE_I)
     dfit = fit_decay(sol, phase=0, window=(40.0, 70.0), fixed_rate=rep.alpha_star)
     rel = abs(dfit.prefactor - rep.prefactor) / rep.prefactor
     elapsed = time.time() - t0

@@ -14,24 +14,26 @@ from fluidtail.asymptotics import (
     constant_simple_pole,
     density_prefactor,
     joint_tail,
+    kernel_boundary,
     lower_phase_tail,
     marginal_tail,
     transform_continuation,
 )
-from fluidtail.cfrac import BoundaryVector
-from fluidtail.kernel import branch_points, branch_small, kernel
-from fluidtail.model import phase_stationary
-from fluidtail.roots import find_coeff_zero
+from fluidtail.cfrac import BoundaryVector, boundary_gf, forcing_reduced
+from fluidtail.errors import FluidTailError
+from fluidtail.kernel import boundary_coeff, branch_points, branch_small, kernel
+from fluidtail.model import ModelParams, phase_stationary
+from fluidtail.roots import find_coeff_zero, growing_zeros
 
 
 @pytest.fixture(scope="module")
-def report_case1(sol_case1):
-    return analyze(CASE_I, solution=sol_case1)
+def report_case1():
+    return analyze(CASE_I)
 
 
 @pytest.fixture(scope="module")
-def report_case1_c2(sol_case1_c2):
-    return analyze(CASE_I_C2, solution=sol_case1_c2, n_phases=300)
+def report_case1_c2():
+    return analyze(CASE_I_C2)
 
 
 def test_classification_of_reference_tuples():
@@ -223,8 +225,8 @@ def test_analyze_error_bars(report_case1):
     assert report_case1.c_const_err < 1e-4 * abs(report_case1.c_const) + 1e-12
 
 
-def test_analyze_full_reports_cases_2_3(sol_case2, sol_case3):
-    rep2 = analyze(CASE_II, solution=sol_case2)
+def test_analyze_full_reports_cases_2_3():
+    rep2 = analyze(CASE_II)
     assert rep2.case is TailCase.POLE_AT_BRANCH
     assert rep2.alpha_star == 1.0 and rep2.power == -0.5
     assert rep2.z_star == pytest.approx(2.0, rel=1e-12)
@@ -232,7 +234,7 @@ def test_analyze_full_reports_cases_2_3(sol_case2, sol_case3):
     assert rep2.phase_ratio == pytest.approx(0.5, rel=1e-9)  # 1/z* at the branch point
     assert rep2.marginal_prefactor > rep2.prefactor > 0.0
 
-    rep3 = analyze(CASE_III, solution=sol_case3)
+    rep3 = analyze(CASE_III)
     assert rep3.case is TailCase.BRANCH_ONLY
     assert rep3.power == -1.5 and rep3.prefactor > 0.0
     assert rep3.z_star == pytest.approx(math.sqrt(4.5), rel=1e-9)
@@ -253,6 +255,61 @@ def test_analyze_low_load_c8_has_no_false_pole():
 
     p = ModelParams(c=8, lam=0.2116, mu=9.077, r=0.5198)
     sol = solve_truncated(p, 400)
-    rep = analyze(p, solution=sol)
+    rep = analyze(p)
     assert rep.case is TailCase.BRANCH_ONLY
     assert rep.alpha_star == pytest.approx(-sol.eigenvalues[0], rel=2e-2)
+
+
+# -- boundary masses from the kernel method ------------------------------------
+
+KERNEL_MASS_TUPLES = [CASE_I, CASE_II, CASE_III, CASE_I_C2,
+                      ModelParams(c=8, lam=6.0, mu=1.0, r=1.0),
+                      ModelParams(c=8, lam=0.2116, mu=9.077, r=0.5198),
+                      ModelParams(c=20, lam=1.0, mu=1.0, r=2.0),
+                      ModelParams(c=30, lam=15.0, mu=1.0, r=0.5)]
+
+
+def test_kernel_masses_match_oracle(rng):
+    from fluidtail.spectral import solve_truncated
+
+    tuples = KERNEL_MASS_TUPLES + [random_stable_params(rng, c_choices=range(1, 9))
+                                   for _ in range(40)]
+    compared = 0
+    for p in tuples:
+        boundary, err = kernel_boundary(p)
+        assert boundary.source == "kernel" and len(boundary) == p.c
+        assert err < 1e-10
+        if (p.lam / (p.c * p.mu)) ** 400 >= 1e-12:
+            continue   # the oracle's own truncation error would show
+        oracle = solve_truncated(p, 400).boundary_masses[: p.c]
+        np.testing.assert_allclose(boundary.masses, oracle, rtol=1e-10, atol=0.0)
+        compared += 1
+    assert compared >= len(KERNEL_MASS_TUPLES)
+
+
+def test_kernel_boundary_refuses_inaccurate_masses():
+    # the recurrence for the null vectors loses all digits at c = 80, low load
+    with pytest.raises(FluidTailError, match="too inaccurate"):
+        kernel_boundary(ModelParams(c=80, lam=4.0, mu=1.0, r=2.0))
+
+
+def test_kernel_masses_c1_closed_form(rng):
+    # the zero-mode row alone: Pi_0(0) = -mean drift
+    for _ in range(10):
+        p = random_stable_params(rng, c_choices=(1,))
+        boundary, _ = kernel_boundary(p)
+        assert boundary[0] == pytest.approx(-phase_stationary(p).mean_drift(), rel=1e-14)
+
+
+def test_numerator_vanishes_at_growing_zeros(rng):
+    # the R-orthogonality rows of kernel_boundary against the forcing code itself
+    tuples = [CASE_III, CASE_I_C2, ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)]
+    tuples += [random_stable_params(rng, c_choices=range(2, 6)) for _ in range(10)]
+    for p in tuples:
+        boundary, _ = kernel_boundary(p)
+        for a in growing_zeros(p):
+            z = branch_small(p, a).real
+            terms = [boundary_coeff(p, z) * boundary_gf(p, boundary, z),
+                     forcing_reduced(p, boundary, a, z)]
+            scale = max(abs(complex(t)) for t in terms)
+            assert abs(complex(sum(terms))) < 1e-9 * scale

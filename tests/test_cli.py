@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,7 @@ def test_analyze_case1(capsys, tmp_path):
     assert payload["case"]["value"] == "I"
     assert payload["alpha_star"]["value"] == pytest.approx(0.5, rel=1e-10)
     assert payload["alpha_star"]["source"] == "analytic"
-    assert payload["boundary_masses"]["source"] == "spectral"
+    assert payload["boundary_masses"]["source"] == "analytic"
     assert payload["density_prefactor"]["value"] == pytest.approx(1.0 / 12.0, rel=1e-4)
     assert "error" in payload["transform_constant"]
 
@@ -116,5 +120,31 @@ def test_validate_case1(capsys):
     assert code == 0
     assert payload["checks"]["spectral_rate"]["pass"]
     assert payload["checks"]["prefactor"]["pass"]
+    assert payload["checks"]["boundary_masses"]["pass"]
     assert payload["mc_rate"]["source"] == "simulation"
     assert "ok" in err
+
+
+def test_analyze_loads_no_scipy(tmp_path):
+    # analyze needs neither the spectral oracle nor scipy, in a fresh interpreter
+    import fluidtail
+
+    script = (
+        "import json, sys\n"
+        "from fluidtail import cli\n"
+        f"code = cli.main(['analyze', '--c', '3', '--lambda', '20', '--mu', '30', '--r', '10',"
+        f" '--out', {str(tmp_path / 'report.json')!r}])\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m == 'scipy' or m.startswith('scipy.') or m == 'fluidtail.spectral']\n"
+        "print(json.dumps({'code': code, 'loaded': loaded}))\n"
+    )
+    src = str(Path(fluidtail.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["loaded"] == []
+    assert json.loads((tmp_path / "report.json").read_text())["case"]["value"] == "III"

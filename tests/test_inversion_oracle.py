@@ -62,9 +62,9 @@ def invert(phi, x, dps, degree):
         mp.mp.dps = 15
 
 
-def test_pole_at_branch_prefactor_by_inversion(sol_case2):
+def test_pole_at_branch_prefactor_by_inversion():
     # density ~ C2 exp(-x)/sqrt(x); the relative deficit decays like 1/x
-    rep = analyze(CASE_II, solution=sol_case2)
+    rep = analyze(CASE_II)
     phi = mp_transform(CASE_II, rep.boundary.masses)
     ratios = {}
     for x in (20, 40):
@@ -76,11 +76,11 @@ def test_pole_at_branch_prefactor_by_inversion(sol_case2):
     assert abs(1.0 - ratios[40]) < abs(1.0 - ratios[20])
 
 
-def test_branch_only_prefactor_by_inversion(sol_case3):
+def test_branch_only_prefactor_by_inversion():
     # density ~ C3 exp(-a1 x) x^{-3/2}; a second-sheet zero sits only 0.031
     # below the branch point, so the regime opens around x ~ 30 and the
     # deficit then decays like 1/x: extrapolate two deep octaves to the limit
-    rep = analyze(CASE_III, solution=sol_case3)
+    rep = analyze(CASE_III)
     phi = mp_transform(CASE_III, rep.boundary.masses)
     ratios = {}
     for x, dps, degree in ((120, 350, 340), (240, 650, 640)):

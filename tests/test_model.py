@@ -155,3 +155,17 @@ def test_certificate_inequality_pointwise():
             v = math.exp(al * x) * z ** i
             indicator = b if (x == 0.0 and i < c) else 0.0
             assert gen_v(x, i) <= -s * v + indicator + 1e-9 * v
+
+
+def test_log_factorials_match_gammaln():
+    from scipy.special import gammaln
+
+    from fluidtail.model import _log_factorials
+
+    i = np.arange(201)
+    ours = _log_factorials(201)
+    ref = gammaln(i + 1.0)
+    assert ours[0] == ours[1] == 0.0
+    np.testing.assert_allclose(ours[2:], ref[2:], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose([math.lgamma(k + 1) for k in range(2, 201)], ref[2:],
+                               rtol=1e-14, atol=0.0)

@@ -5,13 +5,16 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_c1, random_stable_params
+from fluidtail import roots
 from fluidtail.cfrac import BoundaryVector
+from fluidtail.errors import FluidTailError
 from fluidtail.kernel import branch_points, branch_small
 from fluidtail.model import ModelParams
 from fluidtail.roots import (
     assumption_report,
     composed_coeff,
     find_coeff_zero,
+    growing_zeros,
     rationalized_zero_poly,
 )
 
@@ -283,3 +286,57 @@ def test_gtilde_convexity(rng):
         second = npoly.polyder(cubic, 2)
         for a in np.linspace(0.0, 5.0, 11):
             assert npoly.polyval(a, second) > 0.0
+
+
+# -- the growing zeros on the negative axis -----------------------------------
+
+LOW_LOAD_C8 = ModelParams(c=8, lam=0.2116, mu=9.077, r=0.5198)
+NEGATIVE_AXIS_TUPLES = [CASE_I, CASE_II, CASE_III, CASE_I_C2,
+                        ModelParams(c=8, lam=6.0, mu=1.0, r=1.0), LOW_LOAD_C8,
+                        # low load and c >= 12: zeros closer to chain poles than rounding
+                        ModelParams(c=20, lam=1.0, mu=1.0, r=2.0),
+                        ModelParams(c=12, lam=0.3, mu=2.0, r=1.0)]
+
+
+def _pencil_growing_eigenvalues(p, n_phases=400):
+    from scipy.linalg import eigh_tridiagonal
+
+    from fluidtail.spectral import _reduced_pencil
+
+    pencil = _reduced_pencil(p, n_phases)
+    return eigh_tridiagonal(pencil.diag, pencil.off, eigvals_only=True,
+                            select="v", select_range=(0.0, math.inf))
+
+
+def test_growing_zeros_are_pencil_eigenvalues(rng):
+    tuples = NEGATIVE_AXIS_TUPLES + [random_stable_params(rng, c_choices=range(1, 9))
+                                     for _ in range(30)]
+    for p in tuples:
+        zeros = growing_zeros(p)
+        assert zeros.shape == (p.c - 1,)
+        assert roots._folded_count(p, -2.0 * (p.lam + p.c * p.mu))[0] == p.c
+        for k, a in enumerate(zeros):
+            # the count falls by exactly one across each zero, and the
+            # pole-free value changes sign there
+            n_left, h_left = roots._folded_count(p, a * (1.0 + 1e-9))
+            n_right, h_right = roots._folded_count(p, a * (1.0 - 1e-9))
+            assert (n_left, n_right) == (p.c - k, p.c - k - 1), (p, k)
+            assert h_left * h_right < 0.0
+        s_up = np.sort(_pencil_growing_eigenvalues(p))[::-1]
+        np.testing.assert_allclose(-zeros, s_up, rtol=1e-10)
+
+
+def test_growing_zeros_refuse_a_wrong_count(monkeypatch):
+    monkeypatch.setattr(roots, "_folded_count", lambda p, a: (p.c - 1, 1.0))
+    with pytest.raises(FluidTailError, match="expected c = 3"):
+        growing_zeros(CASE_III)
+
+
+def test_coeff_scale_matches_scalar_loop(rng):
+    tuples = NEGATIVE_AXIS_TUPLES + [random_stable_params(rng, c_choices=range(1, 9))
+                                     for _ in range(40)]
+    for p in tuples:
+        alpha1 = branch_points(p).alpha1
+        grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
+        loop = max(abs(complex(composed_coeff(p, a)).real) for a in grid)
+        assert roots._coeff_scale(p, alpha1) == pytest.approx(loop, rel=1e-12)

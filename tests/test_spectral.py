@@ -308,3 +308,14 @@ def test_summary_json_and_csv(sol_case1):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and int(first[1]) == 0
     assert float(first[2]) == pytest.approx(1.0 / 3.0, abs=1e-8)
+
+
+def test_package_exports_the_oracle_on_first_use():
+    import fluidtail
+    from fluidtail import spectral
+
+    assert all(getattr(fluidtail, name) is not None for name in fluidtail.__all__)
+    assert fluidtail.solve_truncated is spectral.solve_truncated
+    assert fluidtail.SpectralSolution is spectral.SpectralSolution
+    with pytest.raises(AttributeError):
+        fluidtail.no_such_name
