@@ -3,11 +3,30 @@
 `advance` moves one sample path of the (phase, level) process through one
 chunk of pre-drawn randomness.  Event k of the chunk waits `exps[k] / rate`
 and jumps up iff `us[k] * rate < lam`, where `rate = lam + min(phase, c) mu`;
-the event cut by the horizon is not consumed.  Only the phase path is a
-sequential recursion; event times, levels, samples and the occupation times
-are whole-array operations over sub-blocks of at most `_BLOCK` events.  Once
-the horizon is in sight, a sub-block is sized from the time left and the
-event rate so far, so that few events are built past the horizon.
+the event cut by the horizon is not consumed.  Event times, levels, samples
+and the occupation times are whole-array operations over sub-blocks of at
+most `_BLOCK` events.  Once the horizon is in sight, a sub-block is sized
+from the time left and the event rate so far, so that few events are built
+past the horizon.
+
+The phase path is a recursion, `x + 1` if `x < th[k]` else `x - 1`, and
+`_phase_path` computes it exactly with whole-array steps.  The sub-block is
+cut into rows of `_ROW` events that step in lockstep.  Row 0 starts at the
+given phase; every other row starts at a guess, 0 or 1, of the parity the
+path must have there (`x_k + k` is constant mod 2).  A row is right once its
+start equals the end of the row before it, so the stitch re-runs only rows
+whose start changed, for `_ROUNDS` rounds:
+
+- two walks through the same thresholds that meet stay together, so a
+  re-run row stops once it meets its old path;
+- at or above c the walk steps down unless the event is always-up, so a
+  row that stayed at or above c moves rigidly when its start rises: it is
+  shifted, not re-run.
+
+Rows still wrong after the rounds are finished in row order by the
+one-event-at-a-time recursion.  Many are left only when the queue is heavily
+loaded and its phase rarely comes down to the guess; the finish then keeps
+the cost near that recursion's.
 """
 
 import math
@@ -20,10 +39,111 @@ USE_NUMBA = False
 
 _BLOCK = 1 << 16   # events per sub-block: bounds the size of every temporary
 _ALWAYS_UP = 1 << 62
+_ROW = 64          # events per lockstep row: even, so every row starts at the parity of row 0,
+                   # and a multiple of _CHECK
+_ROUNDS = 3        # stitch rounds before the sequential finish
+_CHECK = 8         # steps a re-run row takes between checks for meeting its old path
+
+
+def _thresholds(u, lam, rates, c):
+    """Per-event thresholds of the phase walk: up iff phase < threshold.
+
+    Up iff min(x, c) < m, m = #{j <= c : u rates[j] < lam}; m = c + 1 is up for
+    all x and becomes `_ALWAYS_UP`.
+    """
+    m = np.zeros(u.shape[0], np.int64)
+    for rate in rates:
+        m += u * rate < lam
+    m[m > c] = _ALWAYS_UP
+    return m
 
 
 def _step(x, threshold):
     return x + 1 if x < threshold else x - 1
+
+
+def _lockstep(path, th):
+    """Step every column of `path` from its row 0 through the thresholds `th`, one row a step."""
+    up = np.empty(path.shape[1], bool)
+    for j in range(th.shape[0]):
+        np.less(path[j], th[j], out=up)
+        np.add(path[j], up, out=path[j + 1])
+        path[j + 1] += up
+        path[j + 1] -= 1
+
+
+def _rerun(path, th, cols, starts):
+    """Re-run the columns `cols` of `path` from new starts, each until it meets its old path."""
+    path[0, cols] = starts
+    for j in range(0, th.shape[0], _CHECK):
+        seg = np.empty((_CHECK + 1, cols.size), np.int64)
+        seg[0] = path[j, cols]
+        _lockstep(seg, th[j:j + _CHECK, cols])
+        moved = seg[-1] != path[j + _CHECK, cols]
+        path[j + 1:j + _CHECK + 1, cols] = seg[1:]
+        cols = cols[moved]
+        if not cols.size:
+            break
+
+
+def _phase_path(th, x0, c):
+    """Phase path of one sub-block: `x[0] = x0`, `x[k + 1] = _step(x[k], th[k])`.
+
+    `th` is not empty, and `th[k]` is in 1..c or `_ALWAYS_UP`.  Column r of
+    `path` is row r of the sub-block, events `r * _ROW` to `(r + 1) * _ROW`;
+    the last row is padded with always-up events, which only extend it.
+
+    The step is monotone: of two starts of one parity, the lower never ends
+    above the higher.  A guess is the least start of its parity, so every
+    computed row lies at or below the true path and a start only ever moves
+    up; a row that stayed at or above c still does after its shift.
+    """
+    n = th.shape[0]
+    rows = -(-n // _ROW)
+    thr = np.empty((_ROW, rows), np.int64)
+    thr[:, :-1] = th[:(rows - 1) * _ROW].reshape(rows - 1, _ROW).T
+    thr[:, -1] = _ALWAYS_UP
+    thr[:n - (rows - 1) * _ROW, -1] = th[(rows - 1) * _ROW:]
+    path = np.empty((_ROW + 1, rows), np.int64)
+    path[0] = x0 & 1
+    path[0, 0] = x0
+    _lockstep(path, thr)
+    low = path[:-1].min(axis=0)
+    for _ in range(_ROUNDS):
+        shift = path[-1, :-1] - path[0, 1:]
+        bad = np.flatnonzero(shift) + 1
+        if not bad.size:
+            break
+        shift = shift[bad - 1]
+        rigid = low[bad] >= c
+        cols = bad[rigid]
+        path[:, cols] += shift[rigid]
+        low[cols] += shift[rigid]
+        cols = bad[~rigid]
+        if cols.size:
+            _rerun(path, thr, cols, path[0, cols] + shift[~rigid])
+            low[cols] = path[:-1, cols].min(axis=0)
+    bad = np.flatnonzero(path[-1, :-1] != path[0, 1:])
+    if bad.size:
+        # sequential finish: each row in turn, from the true end of the row before
+        starts, ends, lows = path[0].tolist(), path[-1].tolist(), low.tolist()
+        end = ends[bad[0]]
+        for r in range(bad[0] + 1, rows):
+            shift = end - starts[r]
+            if shift == 0:
+                end = ends[r]
+            elif lows[r] >= c:
+                path[:, r] += shift
+                end = ends[r] + shift
+            else:
+                col = list(accumulate(thr[:, r].tolist(), _step, initial=end))
+                path[:, r] = col
+                end = col[-1]
+    del thr   # freed before the output is built, which keeps the peak memory near the recursion's
+    xs = np.empty(rows * _ROW + 1, np.int64)
+    xs[:-1].reshape(rows, _ROW)[:] = path[:-1].T
+    xs[-1] = path[-1, -1]
+    return xs[:n + 1]
 
 
 def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
@@ -44,14 +164,7 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
     used, t0, size = 0, t, _BLOCK
     while used < exps.shape[0] and t < t_end:
         k1 = min(used + size, exps.shape[0])
-        u = us[used:k1]
-        # up iff min(x, c) < m, m = #{j <= c : u rates[j] < lam}; m = c + 1 is up for all x
-        m = np.zeros(u.shape[0], np.int64)
-        for rate in rates:
-            m += u * rate < lam
-        m[m > c] = _ALWAYS_UP
-        xs = np.fromiter(accumulate(m.tolist(), _step, initial=phase), np.int64,
-                         u.shape[0] + 1)
+        xs = _phase_path(_thresholds(us[used:k1], lam, rates, c), phase, c)
         x = xs[:-1]
         tau = exps[used:k1] / rates[np.minimum(x, c)]
         net = np.where(x < c, (x - c).astype(float), r)

@@ -52,6 +52,7 @@ class TailFit:
     ci_high: float
     window: tuple
     n_window: int
+    n_boot_used: int             # bootstrap resamples in the CI
 
 
 @dataclass(frozen=True)
@@ -171,11 +172,10 @@ def _tabulate(config: SimConfig, levels: np.ndarray, phases: np.ndarray):
 
 def default_window(est: SurvivalEstimate, s_high: float = 3e-2, s_low: float = 1e-4):
     """Window [x_lo, x_hi] spanning the given survival levels."""
-    levels = np.sort(est.samples_level)
-    n = levels.size
-    x_lo = levels[min(n - 1, int(n * (1.0 - s_high)))]
-    x_hi = levels[min(n - 1, int(n * (1.0 - s_low)))]
-    return float(x_lo), float(x_hi)
+    n = est.samples_level.size
+    k_lo, k_hi = min(n - 1, int(n * (1.0 - s_high))), min(n - 1, int(n * (1.0 - s_low)))
+    levels = np.partition(est.samples_level, [k_lo, k_hi])
+    return float(levels[k_lo]), float(levels[k_hi])
 
 
 def fit_tail(
@@ -191,7 +191,9 @@ def fit_tail(
     A known polynomial factor x^power in the tail may be supplied (it is
     subtracted before fitting, never estimated); the default 0 fits a pure
     exponential.  The confidence interval resamples whole time blocks, which
-    respects the serial correlation of the stride samples.
+    respects the serial correlation of the stride samples.  A resample with
+    fewer than two positive-survival grid points has no slope and is left
+    out of the CI; more than 5% left out raises InsufficientSamplesError.
     """
     if window is None:
         window = default_window(est)
@@ -207,7 +209,10 @@ def fit_tail(
     frac = np.clip((grid - est.grid[j]) / (est.grid[j + 1] - est.grid[j]), 0.0, 1.0)
 
     def slopes(counts_total):
-        """Fitted rate of each row of histogram totals; zero-survival points are left out."""
+        """Fitted rate of each row of histogram totals; zero-survival points are left out.
+
+        A row with fewer than two positive points gets NaN.
+        """
         surv = 1.0 - np.cumsum(counts_total, axis=1) / counts_total.sum(axis=1, keepdims=True)
         s = surv[:, j] + (surv[:, j + 1] - surv[:, j]) * frac
         ok = s > 0
@@ -218,9 +223,7 @@ def fit_tail(
             dx = np.where(ok, x - x.sum(axis=1, keepdims=True) / n_ok, 0.0)
             dy = np.where(ok, y - y.sum(axis=1, keepdims=True) / n_ok, 0.0)
             slope = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
-        # below two points, the minimum-norm solution that np.linalg.lstsq returns
-        few = n_ok[:, 0] < 2
-        slope[few] = ((x * y).sum(axis=1) / (1.0 + (x * x).sum(axis=1)))[few]
+        slope[n_ok[:, 0] < 2] = np.nan
         return -slope
 
     rate = slopes(est.block_counts.sum(axis=0)[None, :])[0]
@@ -232,9 +235,15 @@ def fit_tail(
     weights = np.bincount(rows * n_blocks + picks.ravel(), minlength=n_boot * n_blocks)
     # integer counts: the weighted sums are exact in any order
     boots = slopes(weights.reshape(n_boot, n_blocks) @ est.block_counts)
+    boots = boots[~np.isnan(boots)]
+    if np.isnan(rate) or boots.size < 0.95 * n_boot:
+        raise InsufficientSamplesError(
+            f"fewer than two positive grid points in window {window}, in the samples or "
+            f"in {n_boot - boots.size} of {n_boot} bootstrap resamples"
+        )
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return TailFit(rate=float(rate), ci_low=float(lo), ci_high=float(hi),
-                   window=(x_lo, x_hi), n_window=in_window)
+                   window=(x_lo, x_hi), n_window=in_window, n_boot_used=boots.size)
 
 
 def survival_csv(est: SurvivalEstimate, n_rows: int = 256) -> str:

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fluidtail.model import ModelParams, phase_stationary
 from fluidtail.simulate import SimConfig, _tabulate, default_window, fit_tail, simulate
 
 C8 = ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)
+HEAVY = ModelParams(c=4, lam=3.9, mu=1.0, r=1.0)   # phase load 0.975; the level is unstable
 
 
 def make_config(params, horizon=4e4, samples=80_000, seed=7, warmup=50.0):
@@ -163,8 +166,11 @@ def test_tabulate_bins_levels_on_edges(top):
     assert np.array_equal(survival, 1.0 - np.cumsum(counts) / levels.size)
 
 
-def _reference_fit(est, window, power, n_grid=25, n_boot=200):
-    """Per-resample reference for `fit_tail`: one np.interp and one lstsq per bootstrap row."""
+def _reference_slopes(est, window, power, n_grid=25, n_boot=200):
+    """Per-resample reference for `fit_tail`: one np.interp and one lstsq per bootstrap row.
+
+    Returns the rate and, per resample, its slope and its number of positive grid points.
+    """
     grid = np.linspace(*window, n_grid)
 
     def slope(counts_total):
@@ -173,13 +179,19 @@ def _reference_fit(est, window, power, n_grid=25, n_boot=200):
         ok = s > 0
         y = np.log(s[ok]) - power * np.log(grid[ok])
         design = np.vstack([np.ones(ok.sum()), grid[ok]]).T
-        return -np.linalg.lstsq(design, y, rcond=None)[0][1]
+        return -np.linalg.lstsq(design, y, rcond=None)[0][1], ok.sum()
 
     rng = np.random.Generator(np.random.Philox(est.config.seed + 0x5EED))
     n_blocks = est.block_counts.shape[0]
     boots = [slope(est.block_counts[rng.integers(0, n_blocks, n_blocks)].sum(axis=0))
              for _ in range(n_boot)]
-    return (slope(est.block_counts.sum(axis=0)), *np.percentile(boots, [2.5, 97.5]))
+    return slope(est.block_counts.sum(axis=0))[0], *map(np.array, zip(*boots))
+
+
+def _reference_fit(est, window, power):
+    """Rate and CI of the reference; resamples with fewer than two positive points are left out."""
+    rate, boots, n_ok = _reference_slopes(est, window, power)
+    return (rate, *np.percentile(boots[n_ok >= 2], [2.5, 97.5]))
 
 
 @pytest.mark.parametrize("s_high, s_low, power", [(3e-2, 1e-4, 0.0), (3e-2, 3e-3, 1.5),
@@ -192,6 +204,37 @@ def test_fit_tail_matches_per_resample_reference(est_case1, s_high, s_low, power
     assert fit.rate == pytest.approx(rate, abs=1e-12)
     assert fit.ci_low == pytest.approx(lo, abs=1e-12)
     assert fit.ci_high == pytest.approx(hi, abs=1e-12)
+
+
+def test_far_tail_fit_leaves_out_resamples_without_a_slope(est_case1):
+    # 2 of 200 resamples have fewer than two positive grid points in this window
+    window = default_window(est_case1, 3e-4, 2e-5)
+    fit = fit_tail(est_case1, window=window, min_samples=100)
+    _, boots, n_ok = _reference_slopes(est_case1, window, 0.0)
+    assert np.count_nonzero(n_ok < 2) == 2 and fit.n_boot_used == 198
+    lo, hi = np.percentile(boots[n_ok >= 2], [2.5, 97.5])
+    assert fit.ci_low == pytest.approx(lo, abs=1e-12)
+    assert fit.ci_high == pytest.approx(hi, abs=1e-12)
+    # with their minimum-norm slopes the CI would differ
+    assert not np.allclose(np.percentile(boots, [2.5, 97.5]), [lo, hi], rtol=0.0, atol=1e-9)
+
+
+def test_fit_tail_refuses_a_window_most_resamples_miss(est_case1):
+    # 23 of 200 resamples have fewer than two positive grid points here
+    window = default_window(est_case1, 1e-4, 1e-5)
+    _, _, n_ok = _reference_slopes(est_case1, window, 0.0)
+    assert np.count_nonzero(n_ok < 2) > 10
+    with pytest.raises(InsufficientSamplesError):
+        fit_tail(est_case1, window=window, min_samples=10)
+
+
+@pytest.mark.parametrize("s_high, s_low", [(3e-2, 1e-4), (5e-2, 1e-3), (3e-4, 2e-5), (1.0, 0.0)])
+def test_default_window_reads_the_sorted_levels(est_case1, s_high, s_low):
+    levels = np.sort(est_case1.samples_level)
+    n = levels.size
+    expected = (levels[min(n - 1, int(n * (1.0 - s_high)))],
+                levels[min(n - 1, int(n * (1.0 - s_low)))])
+    assert default_window(est_case1, s_high, s_low) == expected
 
 
 def test_fit_tail_insufficient_samples():
@@ -264,8 +307,8 @@ def _reference_advance(phase, level, t, t_end, warmup, stride, next_sample, n_wr
     return phase, level, t, next_sample, n_written, k
 
 
-@pytest.mark.parametrize("params", [CASE_I, CASE_III, CASE_I_C2, C8],
-                         ids=["CASE_I", "CASE_III", "CASE_I_C2", "c8"])
+@pytest.mark.parametrize("params", [CASE_I, CASE_III, CASE_I_C2, C8, HEAVY],
+                         ids=["CASE_I", "CASE_III", "CASE_I_C2", "c8", "heavy"])
 def test_advance_matches_per_event_reference(params, monkeypatch):
     # short chunks and sub-blocks cross both boundaries many times before the horizon cuts in
     monkeypatch.setattr(_sim_core, "_BLOCK", 97)
@@ -299,17 +342,33 @@ def test_advance_matches_per_event_reference(params, monkeypatch):
     assert np.allclose(sojourn, ref_sojourn, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("params", [
+    CASE_I, CASE_I_C2, CASE_III, C8, HEAVY,
+    ModelParams(c=4, lam=3.99, mu=1.0, r=1.0), ModelParams(c=2, lam=1.9, mu=1.0, r=1.0),
+], ids=["c1", "c2", "c3", "c8", "heavy_c4", "heavier_c4", "heavy_c2"])
+def test_phase_path_matches_recursion(params):
+    # row edges, a padded last row, and heavy loads that reach the sequential finish
+    row = _sim_core._ROW
+    rates = params.lam + np.arange(params.c + 1) * params.mu
+    rng = np.random.Generator(np.random.Philox(5))
+    for n in (1, row - 1, row, row + 1, 97, 1 << 16):
+        th = _sim_core._thresholds(rng.random(n), params.lam, rates, params.c)
+        for x0 in (0, 1, 7, 50):
+            expected = list(accumulate(th.tolist(), _sim_core._step, initial=x0))
+            assert _sim_core._phase_path(th, x0, params.c).tolist() == expected
+
+
 def test_advance_builds_few_events_past_the_horizon(monkeypatch):
     # the last sub-block is sized from the time left, not built whole
     steps = 0
-    step = _sim_core._step
+    phase_path = _sim_core._phase_path
 
-    def counting_step(x, threshold):
+    def counting_phase_path(th, x0, c):
         nonlocal steps
-        steps += 1
-        return step(x, threshold)
+        steps += th.shape[0]
+        return phase_path(th, x0, c)
 
-    monkeypatch.setattr(_sim_core, "_step", counting_step)
+    monkeypatch.setattr(_sim_core, "_phase_path", counting_phase_path)
     rng = np.random.Generator(np.random.Philox(3))
     exps, us = rng.standard_exponential(1 << 18), rng.random(1 << 18)
     p, horizon = CASE_I, 4e4
