@@ -2,10 +2,12 @@
 
 The folded coefficient is f(alpha) = density_coeff_reduced(alpha,
 branch_small(alpha)).  The candidate decay rate is its unique zero inside
-(0, alpha1].  Rationalizing f against its large-branch twin gives a real
-polynomial whose roots contain every zero of either factor; candidate roots
-are then attributed to the correct factor by direct evaluation and polished
-on the recursively-evaluated composed function.
+(0, alpha1].  There f = alpha z^(c-1) d(alpha) with z the small branch and
+d a deflated coefficient that has neither a pole nor a cancellation at 0;
+d(0) < 0, so the sign of d at alpha1 tells whether the zero is inside, at
+alpha1 or absent, and Brent's method finds an inside zero.  Rationalizing f
+against its large-branch twin gives a real polynomial whose roots contain
+every zero of either factor; it is kept for the published-root checks.
 
 On the negative axis f has c-1 more zeros, the negated growing eigenvalues
 of the stationary system, where the boundary masses are pinned down
@@ -32,9 +34,8 @@ from .errors import AssumptionViolatedError, FluidTailError
 from .kernel import boundary_coeff, branch_large, branch_points, branch_small, branch_small_real
 from .model import ModelParams, require_stable
 
-# relative tolerances of the zero search
-_ZERO_TOL = 1e-8        # |f| below this (times the local term scale) counts as a zero
-_AT_BRANCH_RTOL = 1e-9  # closer than this to alpha1 counts as "at the branch point"
+# |d| below this (times its term scale) counts as a zero
+_ZERO_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MAX_BISECTIONS = 200   # enough to shrink any double interval to a few ulps
@@ -47,9 +48,10 @@ class CoeffZero:
     alpha: float | None         # the zero, if one exists
     multiplicity: int           # order of the zero (1 unless degenerate)
     at_branch_point: bool       # whether the zero sits at alpha1
-    method: str                 # which closed-form family covers this c
-    all_roots: np.ndarray       # every root of the rationalized polynomial
-    residual: float             # |f(alpha)| at the polished zero, term-scale relative
+    # the zeros found on (0, alpha1], 0 or 1 of them; the name is kept
+    # because benchmark traces count its entries
+    all_roots: np.ndarray
+    residual: float             # |d(alpha)| at the zero, relative to its term scale
     scale: float                # max |f| over (0, alpha1), for reporting
 
 
@@ -85,8 +87,8 @@ def composed_coeff(params: ModelParams, alpha, large_branch: bool = False):
     return (lam * a_last + mu - alpha * r - alpha) * z ** c - c * mu * z ** (c - 1)
 
 
-def _coeff_scale(params: ModelParams, alpha1: float) -> float:
-    """max |f| over a 101-point grid on (0, alpha1), for reporting.
+def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
+    """f on a 101-point grid on (0, alpha1): the reporting scale and zero count.
 
     The grid is evaluated as one array: the chain recursion of
     ratio_chain_values (it has no pole for alpha > 0) and composed_coeff's
@@ -98,8 +100,32 @@ def _coeff_scale(params: ModelParams, alpha1: float) -> float:
     for i in range(c - 1):
         a_last = (i + 1) * mu / ((c - i) * grid + lam + i * mu - lam * a_last)
     z = branch_small_real(params, grid)
-    f = (lam * a_last + mu - grid * r - grid) * z ** c - c * mu * z ** (c - 1)
-    return float(np.max(np.abs(f)))
+    return (lam * a_last + mu - grid * r - grid) * z ** c - c * mu * z ** (c - 1)
+
+
+def _deflated(params: ModelParams, alpha: float) -> tuple:
+    """(d, term scale of d) at alpha in [0, alpha1], with f = alpha z^(c-1) d.
+
+    The chain pivots are den_i = lam + alpha e_i with e_0 = c and
+    e_i = (c-i) + i mu e_{i-1} / den_{i-1}, all positive for alpha >= 0, and
+    the kernel gives z - 1 = alpha r z / (c mu - lam z).  Dividing alpha out
+    of f leaves
+
+        d = z [c mu r / (c mu - lam z) - (r+1) - (c-1) mu e_{c-2} / den_{c-2}]
+
+    (no last term for c = 1).  The sum of the three terms' absolute values
+    is the yardstick for "d is zero here".
+    """
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    z = branch_small_real(params, alpha)
+    drift = c * mu * r / (c * mu - lam * z)
+    chain = 0.0
+    if c > 1:
+        e = float(c)
+        for i in range(1, c - 1):
+            e = (c - i) + i * mu * e / (lam + alpha * e)
+        chain = (c - 1) * mu * e / (lam + alpha * e)
+    return z * (drift - (r + 1.0) - chain), z * (drift + (r + 1.0) + chain)
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -222,43 +248,6 @@ def growing_zeros(params: ModelParams) -> np.ndarray:
     return zeros
 
 
-def term_scale(params: ModelParams, alpha, large_branch: bool = False) -> float:
-    """Cancellation-free magnitude of the folded coefficient at alpha.
-
-    Sum of the absolute values of its three terms on the chosen branch; the
-    right yardstick for "is f zero here", since the composed value spans many
-    orders of magnitude over (0, alpha1) when lam << c*mu.
-    """
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    z = branch_large(params, alpha) if large_branch else branch_small(params, alpha)
-    a_last = ratio_chain_value(params, alpha)
-    return (
-        abs(lam * a_last * z ** c)
-        + abs((mu - alpha * r - alpha) * z ** c)
-        + abs(c * mu * z ** (c - 1))
-    )
-
-
-def _polish(params: ModelParams, x: float, lo: float, hi: float) -> float:
-    """Newton iterations on the composed function, constrained to [lo, hi]."""
-    f = lambda a: complex(composed_coeff(params, a)).real
-    h = 1e-7 * max(hi, 1.0)
-    for _ in range(40):
-        hh = min(h, 0.25 * (hi - x), 0.25 * (x - lo))
-        if hh <= 0.0:
-            break
-        d = (f(x + hh) - f(x - hh)) / (2.0 * hh)
-        if d == 0.0:
-            break
-        step = f(x) / d
-        x_new = min(max(x - step, lo), hi)
-        if abs(x_new - x) < 1e-16 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
 def _derivatives_fd(f, x: float, h: float, n_max: int = 4) -> list:
     """Richardson-extrapolated central-difference derivatives f', .., f^(n_max)."""
     out = []
@@ -282,74 +271,42 @@ def _derivatives_fd(f, x: float, h: float, n_max: int = 4) -> list:
 def find_coeff_zero(params: ModelParams) -> CoeffZero:
     """Locate the zero of the folded coefficient inside (0, alpha1].
 
-    Companion-matrix roots of the rationalized polynomial are filtered to the
-    interval, attributed to the small-branch factor by direct evaluation, and
-    polished by Newton on the recursive evaluation.  At most one zero may
-    survive; two or more raise AssumptionViolatedError.  The multiplicity is
-    read off Richardson finite differences (a zero at alpha1 itself is always
-    simple and is handled without differencing across the branch point).
+    The deflated coefficient d of _deflated is negative at 0.  The zero
+    sits at alpha1 when |d(alpha1)| is below _ZERO_TOL of its term scale,
+    there is none when d(alpha1) < 0, and otherwise Brent's method finds it
+    between 0 and alpha1.  On (0, alpha1) f has the sign of d, so the grid
+    of _coeff_grid counts the zeros: one per sign change, plus one if its
+    first value is already positive; more than one raises
+    AssumptionViolatedError.  The multiplicity is read off Richardson finite
+    differences (a zero at alpha1 itself is always simple and is handled
+    without differencing across the branch point).
     """
     require_stable(params)
-    bp = branch_points(params)
-    alpha1 = bp.alpha1
-    g = rationalized_zero_poly(params)
-    # alpha = 0 is a structural root; deflate it exactly so that genuine
-    # zeros of near-critical tuples (arbitrarily close to 0) are not masked
-    if abs(g[0]) <= 1e-8 * np.max(np.abs(g)):
-        roots = npoly.polyroots(g[1:])
-        all_roots = np.concatenate([[0.0 + 0.0j], roots])
-    else:  # pragma: no cover - structural root is exact up to roundoff
-        roots = all_roots = npoly.polyroots(g)
-    scale = _coeff_scale(params, alpha1)
-
-    survivors = []
-    for root in roots:
-        if abs(root.imag) > 1e-8 * max(1.0, abs(root)):
-            continue
-        x = float(root.real)
-        if x <= 0.0 or x > alpha1 * (1.0 + _AT_BRANCH_RTOL):
-            continue
-        at_branch = x >= alpha1 * (1.0 - _AT_BRANCH_RTOL)
-        if at_branch:
-            val = abs(complex(composed_coeff(params, alpha1)).real)
-            if val < _ZERO_TOL * term_scale(params, alpha1):
-                survivors.append((alpha1, True, val))
-            continue
-        # attribute the root to a branch factor by relative residual
-        rel_small = abs(complex(composed_coeff(params, x))) / term_scale(params, x)
-        rel_large = abs(
-            complex(composed_coeff(params, x, large_branch=True))
-        ) / term_scale(params, x, large_branch=True)
-        if rel_small >= _ZERO_TOL:
-            continue  # large-branch-only root (or a stray polynomial artifact)
-        if rel_large < _ZERO_TOL:
-            raise AssumptionViolatedError(
-                f"candidate {x} vanishes on both kernel branches; cannot attribute"
-            )
-        x = _polish(params, x, 1e-12 * alpha1, alpha1 * (1.0 - 1e-13))
-        survivors.append((x, False, abs(complex(composed_coeff(params, x)).real)))
-
-    method = {1: "closed-form-c1", 2: "cubic-c2"}.get(params.c, "rationalized-general")
-    if not survivors:
+    alpha1 = branch_points(params).alpha1
+    f = _coeff_grid(params, alpha1)
+    scale = float(np.max(np.abs(f)))
+    positive = f > 0.0
+    n_zeros = int(positive[0]) + int(np.count_nonzero(positive[1:] != positive[:-1]))
+    if n_zeros > 1:
+        raise AssumptionViolatedError(f"{n_zeros} zeros of f in (0, alpha1 = {alpha1})")
+    d0, _ = _deflated(params, 0.0)
+    if not d0 < 0.0:
+        raise FluidTailError(f"deflated coefficient {d0} at alpha=0; a stable tuple has d(0) < 0")
+    d1, size1 = _deflated(params, alpha1)
+    if abs(d1) < _ZERO_TOL * size1:
+        alpha, at_branch = alpha1, True
+    elif d1 < 0.0:
         return CoeffZero(
-            alpha=None, multiplicity=0, at_branch_point=False, method=method,
-            all_roots=all_roots, residual=math.inf, scale=scale,
+            alpha=None, multiplicity=0, at_branch_point=False,
+            all_roots=np.empty(0), residual=math.inf, scale=scale,
         )
-    # collapse duplicates produced by root clustering
-    survivors.sort()
-    unique = [survivors[0]]
-    for s in survivors[1:]:
-        if abs(s[0] - unique[-1][0]) > 1e-7 * alpha1:
-            unique.append(s)
-    if len(unique) > 1:
-        raise AssumptionViolatedError(
-            f"{len(unique)} distinct zeros in (0, alpha1]: {[u[0] for u in unique]}"
-        )
-    alpha, at_branch, residual = unique[0]
+    else:
+        alpha, at_branch = _brent(lambda a: _deflated(params, a)[0], 0.0, alpha1, d0, d1), False
+    d, size = _deflated(params, alpha)
     k = 1 if at_branch else _multiplicity(params, alpha, alpha1, scale)
     return CoeffZero(
-        alpha=alpha, multiplicity=k, at_branch_point=at_branch, method=method,
-        all_roots=all_roots, residual=residual / term_scale(params, alpha), scale=scale,
+        alpha=alpha, multiplicity=k, at_branch_point=at_branch,
+        all_roots=np.array([alpha]), residual=abs(d) / size, scale=scale,
     )
 
 

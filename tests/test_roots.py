@@ -7,7 +7,8 @@ from numpy.polynomial import polynomial as npoly
 from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_c1, random_stable_params
 from fluidtail import roots
 from fluidtail.cfrac import BoundaryVector
-from fluidtail.errors import FluidTailError
+from fluidtail.asymptotics import TailCase, analyze
+from fluidtail.errors import AssumptionViolatedError, FluidTailError
 from fluidtail.kernel import branch_points, branch_small
 from fluidtail.model import ModelParams
 from fluidtail.roots import (
@@ -102,7 +103,6 @@ def test_zero_search_case1_tuples():
     assert zero.alpha == pytest.approx(0.5, rel=1e-12)
     assert zero.multiplicity == 1
     assert not zero.at_branch_point
-    assert zero.method == "closed-form-c1"
 
     zero2 = find_coeff_zero(CASE_II)
     assert zero2.alpha == pytest.approx(1.0, rel=1e-9)
@@ -176,11 +176,59 @@ def test_zero_search_case3_filters_large_branch_root():
     assert zero.alpha is None
     bp = branch_points(CASE_III)
     assert bp.alpha1 == pytest.approx(2.5147186257614296, rel=1e-12)
-    inside = [w.real for w in zero.all_roots
+    inside = [w.real for w in npoly.polyroots(rationalized_zero_poly(CASE_III))
               if abs(w.imag) < 1e-8 and 1e-9 < w.real <= bp.alpha1]
     assert len(inside) == 1
     assert inside[0] == pytest.approx(2.483285, rel=1e-5)
     assert abs(composed_coeff(CASE_III, inside[0], large_branch=True)) < 1e-6 * zero.scale
+
+
+def test_zero_search_large_c_has_no_false_zero():
+    # the rationalized polynomial overflows at c=80 and has a spurious root
+    # near 1e-35 at c=40 and 60; the bracket on d needs neither
+    for t in [(80, 40.0, 1.0, 1.0), (80, 72.0, 1.0, 1.0), (80, 40.0, 1.0, 2.0),
+              (40, 2.0, 1.0, 2.0), (60, 3.0, 1.0, 2.0)]:
+        zero = find_coeff_zero(ModelParams(*t))
+        assert zero.alpha is None and len(zero.all_roots) == 0, t
+    for t in [(80, 40.0, 1.0, 1.0), (40, 2.0, 1.0, 2.0)]:
+        p = ModelParams(*t)
+        rep = analyze(p)
+        assert rep.case is TailCase.BRANCH_ONLY
+        assert rep.alpha_star == branch_points(p).alpha1
+
+
+def test_zero_search_near_critical_c1():
+    # alpha* = mu/(r+1) - lam = eps: rounding mu alone moves it by about
+    # 1e-16/eps relative, and the bound allows 100 times that
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        p = ModelParams(c=1, lam=1.0, mu=2.0 * (1.0 + eps), r=1.0)
+        expected = p.mu / (p.r + 1.0) - p.lam
+        zero = find_coeff_zero(p)
+        assert zero.alpha == pytest.approx(expected, rel=1e-14 / eps, abs=0.0), eps
+        assert zero.multiplicity == 1 and not zero.at_branch_point
+
+
+def test_zero_search_matches_polynomial_roots(rng):
+    # the companion roots of the rationalized polynomial are an independent
+    # route to every interior zero
+    n_interior = 0
+    for _ in range(1000):
+        p = random_stable_params(rng, c_choices=range(1, 9))
+        zero = find_coeff_zero(p)
+        if zero.alpha is None or zero.at_branch_point:
+            continue
+        n_interior += 1
+        poly_roots = npoly.polyroots(rationalized_zero_poly(p))
+        assert np.min(np.abs(poly_roots - zero.alpha)) < 1e-9 * zero.alpha, p
+    assert n_interior > 50
+
+
+def test_zero_search_refuses_two_zeros(monkeypatch):
+    # a grid with two sign changes, or one after a positive start, shows two zeros
+    for signs in ([-1.0] * 30 + [1.0] * 30 + [-1.0] * 41, [1.0] * 50 + [-1.0] * 51):
+        monkeypatch.setattr(roots, "_coeff_grid", lambda p, a1: np.array(signs))
+        with pytest.raises(AssumptionViolatedError, match="2 zeros"):
+            find_coeff_zero(CASE_III)
 
 
 @pytest.mark.xfail(reason="published root list {4, -67, -15+/-5i} is not reproducible "
@@ -339,4 +387,4 @@ def test_coeff_scale_matches_scalar_loop(rng):
         alpha1 = branch_points(p).alpha1
         grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
         loop = max(abs(complex(composed_coeff(p, a)).real) for a in grid)
-        assert roots._coeff_scale(p, alpha1) == pytest.approx(loop, rel=1e-12)
+        assert np.max(np.abs(roots._coeff_grid(p, alpha1))) == pytest.approx(loop, rel=1e-12)
