@@ -4,7 +4,7 @@ Three regimes exist, keyed to the dominant singularity alpha* of the
 phase-(c-1) density transform:
 
 * POLE            - the folded coefficient has a zero strictly inside
-                    (0, alpha1): density ~ C * exp(-alpha* x) * x^(k-1);
+                    (0, alpha1): density ~ C * exp(-alpha* x);
 * POLE_AT_BRANCH  - the zero sits exactly at the branch point:
                     density ~ C * exp(-alpha* x) / sqrt(x);
 * BRANCH_ONLY     - no zero in (0, alpha1]: alpha* = alpha1 and
@@ -14,9 +14,13 @@ All prefactors are computed from the folded identity.  The boundary masses
 enter it linearly; kernel_boundary finds them from the same identity, as
 the masses that make the transform numerator vanish at the c-1 zeros of
 the folded coefficient on the negative axis, plus the stationary mean
-drift.  No truncation is involved.  Per-phase
-prefactors come from exact coefficient extraction of the folded-coefficient/
-kernel ratio, whose value at z = 0 is exactly 1, anchoring phase c-1.
+drift.  No truncation is involved.  Each case's constant is a derivative
+at alpha* of an evaluator the zero search or the identity already has: of
+the deflated coefficient in alpha (POLE), of the folded coefficient in z
+(POLE_AT_BRANCH) and of the continuation ratio in z (BRANCH_ONLY).  All
+three are taken by one complex step (_derivative).  Per-phase prefactors
+come from exact coefficient extraction of the folded-coefficient/kernel
+ratio, whose value at z = 0 is exactly 1, anchoring phase c-1.
 """
 
 from __future__ import annotations
@@ -31,30 +35,23 @@ import numpy as np
 from .cfrac import (
     BoundaryVector,
     boundary_gf,
-    boundary_gf_dz,
     checked_boundary,
     density_coeff_reduced,
-    density_coeff_reduced_dz,
     forcing_reduced,
-    forcing_reduced_dz,
     ratio_chain_value,
     ratio_chain_values,
 )
-from .errors import FluidTailError
-from .kernel import (
-    boundary_coeff,
-    boundary_coeff_dz,
-    branch_large,
-    branch_points,
-    branch_small,
-)
+from .errors import AssumptionViolatedError, FluidTailError
+from .kernel import boundary_coeff, branch_large, branch_points, branch_small, kernel_discriminant
 from .model import ModelParams, phase_stationary, require_stable
-from .roots import CoeffZero, _derivatives_fd, composed_coeff, find_coeff_zero, growing_zeros
+from .roots import CoeffZero, _deflated, find_coeff_zero, growing_zeros
 
 
-# kernel boundary masses with a larger relative error estimate are refused;
-# their share of a prefactor's error would near validate's 2% tolerance
-_MASS_RTOL = 1e-3
+# kernel boundary masses or a pole constant with a larger relative error
+# estimate are refused; their share of a prefactor's error would near
+# validate's 2% tolerance
+_MAX_RTOL = 1e-3
+_EPS = float(np.finfo(float).eps)
 
 
 class TailCase(enum.Enum):
@@ -99,46 +96,83 @@ def transform_continuation(params: ModelParams, boundary: BoundaryVector, alpha)
     )
 
 
+def _derivative(f, x: float) -> float:
+    """f'(x) of a function real on the real axis, by one complex step.
+
+    f(x + ih) = f(x) + ih f'(x) + O(h^2), so Im f(x + ih) / h is f'(x)
+    without the cancellation of a difference quotient, and a step far below
+    rounding leaves f' accurate to rounding (Squire & Trapp, "Using complex
+    variables to estimate derivatives of real functions", SIAM Review 40,
+    1998).  f must be analytic at x and built from arithmetic that carries
+    a complex argument through (no abs, comparisons or real parts).
+    """
+    h = 1e-30 * max(abs(x), 1.0)
+    return float(complex(f(complex(x, h))).imag / h)
+
+
 def constant_simple_pole(
     params: ModelParams, boundary: BoundaryVector, zero: CoeffZero
 ) -> tuple:
-    """POLE-case constant: lim (alpha*-alpha)^k * transform, with error bar.
+    """POLE-case constant lim (alpha*-alpha) * transform, with its error bar.
 
-    The k-th derivative of the composed coefficient is taken by Richardson
-    central differences inside (0, alpha1); the limit carries the exact
-    k! (-1)^(k+1) factor (irrelevant at k = 1).
+    The transform is -N/f with N the numerator and f = alpha z^(c-1) d the
+    folded coefficient, so the constant is N / f'(alpha*), and
+    f'(alpha*) = alpha* z^(c-1) d'(alpha*) because d(alpha*) = 0.  d' is a
+    complex step of roots._deflated, which has neither a pole nor a
+    cancellation.  The zero search brackets d from negative to positive, so
+    d' > 0 at a simple zero; anything else raises AssumptionViolatedError.
+    The error bar is rounding, times 10.  The small branch z carries a
+    relative error of about eps b/sqrt|disc| (b the kernel's linear
+    coefficient), which d's drift term cmu r/(cmu - lam z) amplifies by
+    lam z/|cmu - lam z|.  With d's term scale this makes the rounding of d,
+    and over alpha* d' the relative error of alpha*; near criticality N and
+    f' lose as many digits to the same z.  Next to alpha1, f' loses
+    eps b^2/|disc| through the branch's slope.  A bar of _MAX_RTOL or more
+    raises FluidTailError: the zero is then within rounding of 0 or of
+    alpha1, where the clamped double root can make a sign change of d
+    that is no zero at all.
     """
     if zero.alpha is None or zero.at_branch_point:
         raise ValueError("constant_simple_pole needs an interior zero")
-    a, k = zero.alpha, zero.multiplicity
-    alpha1 = branch_points(params).alpha1
-    z = branch_small(params, a)
+    a = zero.alpha
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    z = complex(branch_small(params, a)).real
     n_val = complex(numerator_value(params, boundary, a, z)).real
-    f = lambda x: complex(composed_coeff(params, x)).real
-    h = 0.02 * min(a, alpha1 - a)
-    d_k = _derivatives_fd(f, a, h, n_max=k)[k - 1]
-    d_k2 = _derivatives_fd(f, a, h / 2.0, n_max=k)[k - 1]
-    if abs(d_k) < 1e-12 * zero.scale / max(a, 1.0) ** k:
-        raise FluidTailError("k-th derivative vanishes; multiplicity misdetected")
-    value = n_val * math.factorial(k) * (-1.0) ** (k + 1) / d_k
-    err = abs(value) * abs(d_k - d_k2) / abs(d_k)
-    return value, err
+    d_prime = _derivative(lambda x: _deflated(params, x)[0], a)
+    if not d_prime > 0.0:
+        raise AssumptionViolatedError(
+            f"deflated coefficient has slope {d_prime} at its zero alpha={a}; "
+            f"a bracketed simple zero has a positive slope"
+        )
+    value = n_val / (a * z ** (c - 1) * d_prime)
+    b = lam + c * mu - a * r
+    disc = max(abs(kernel_discriminant(params, a)), 1e-300)
+    z_err = b / math.sqrt(disc)   # relative rounding of z, in units of eps
+    z_slope = c * mu * r * lam * z * z / (c * mu - lam * z) ** 2   # z dd/dz at the zero
+    d_err = _deflated(params, a)[1] + z_slope * z_err
+    rel_err = 10.0 * _EPS * (d_err / (a * d_prime) + b * b / disc)
+    if not rel_err < _MAX_RTOL:
+        raise FluidTailError(
+            f"pole constant lost to rounding: relative error estimate {rel_err:.2g} "
+            f"at alpha*={a} is not below {_MAX_RTOL:g}"
+        )
+    return float(value), float(rel_err * abs(value))
 
 
 def constant_pole_at_branch(params: ModelParams, boundary: BoundaryVector) -> float:
     """POLE_AT_BRANCH constant: lim sqrt(alpha*-alpha) * transform.
 
     Equals 2*lam*N / (r * dF/dz * sqrt(alpha2-alpha1)) with N the numerator
-    and dF/dz the exact z-derivative of the folded coefficient, both at the
-    branch point; the r factor comes from the discriminant's leading
-    coefficient r^2.
+    and dF/dz the z-derivative of the folded coefficient, both at the
+    branch point (a complex step in z); the r factor comes from the
+    discriminant's leading coefficient r^2.
     """
     bp = branch_points(params)
     a = bp.alpha1
-    z = branch_small(params, a)
+    z = complex(branch_small(params, a)).real
     n_val = complex(numerator_value(params, boundary, a, z)).real
-    dfdz = complex(density_coeff_reduced_dz(params, a, z)).real
-    return (
+    dfdz = _derivative(lambda w: density_coeff_reduced(params, a, w), z)
+    return float(
         2.0 * params.lam * n_val
         / (params.r * dfdz * math.sqrt(bp.alpha2 - bp.alpha1))
     )
@@ -147,34 +181,28 @@ def constant_pole_at_branch(params: ModelParams, boundary: BoundaryVector) -> fl
 def constant_branch_only(params: ModelParams, boundary: BoundaryVector) -> float:
     """BRANCH_ONLY constant: lim sqrt(alpha*-alpha) * d/dalpha transform.
 
-    Equals dL/dz * r * sqrt(alpha2-alpha1) / (4*lam), where L is the
-    continuation ratio and its z-derivative combines the exact polynomial
-    derivatives of all three coefficient functions.
+    Equals dL/dz * r * sqrt(alpha2-alpha1) / (4*lam), where
+    L(z) = -N(alpha1, z) / F(alpha1, z) is the continuation ratio at the
+    branch point, differentiated by a complex step in z.
     """
     bp = branch_points(params)
     a = bp.alpha1
-    z = complex(branch_small(params, a))
-    num = (
-        boundary_coeff(params, z) * boundary_gf(params, boundary, z)
-        + forcing_reduced(params, boundary, a, z)
-    )
-    num_dz = (
-        boundary_coeff_dz(params, z) * boundary_gf(params, boundary, z)
-        + boundary_coeff(params, z) * boundary_gf_dz(params, boundary, z)
-        + forcing_reduced_dz(params, boundary, a, z)
-    )
-    den = density_coeff_reduced(params, a, z)
-    den_dz = density_coeff_reduced_dz(params, a, z)
+    z = complex(branch_small(params, a)).real
+    num = complex(numerator_value(params, boundary, a, z)).real
+    den = complex(density_coeff_reduced(params, a, z)).real
     if abs(den) < 1e-12 * max(abs(num), 1.0):
         raise FluidTailError("folded coefficient vanishes at the branch point; not BRANCH_ONLY")
-    dl_dz = complex(-(num_dz * den - num * den_dz) / (den * den)).real
-    return dl_dz * params.r * math.sqrt(bp.alpha2 - bp.alpha1) / (4.0 * params.lam)
+    dl_dz = _derivative(
+        lambda w: -numerator_value(params, boundary, a, w) / density_coeff_reduced(params, a, w),
+        z,
+    )
+    return float(dl_dz * params.r * math.sqrt(bp.alpha2 - bp.alpha1) / (4.0 * params.lam))
 
 
-def density_prefactor(case: TailCase, c_const: float, k: int = 1) -> tuple:
+def density_prefactor(case: TailCase, c_const: float) -> tuple:
     """(prefactor, power of x) in  density ~ prefactor * e^(-a* x) * x^power."""
     if case is TailCase.POLE:
-        return c_const / math.gamma(k), float(k - 1)
+        return c_const, 0.0
     if case is TailCase.POLE_AT_BRANCH:
         return c_const / math.sqrt(math.pi), -0.5
     return c_const / math.sqrt(math.pi), -1.5
@@ -202,7 +230,6 @@ class TailReport:
     params: ModelParams
     case: TailCase
     alpha_star: float
-    multiplicity: int
     z_star: float               # small kernel root at alpha*
     z_large: float              # large kernel root at alpha*; phase damping is 1/z_large
     z_tilde: float              # c*mu/lam, the boundary generating function's pole scale
@@ -365,7 +392,7 @@ def kernel_boundary(params: ModelParams) -> tuple:
     max-norm.  The error estimate is the system's 1-norm condition number
     times its componentwise backward error (at least machine epsilon).  The
     recurrence for u loses digits as c grows, fastest at low load; an
-    estimate above _MASS_RTOL raises FluidTailError.
+    estimate above _MAX_RTOL raises FluidTailError.
     """
     c, lam, mu = params.c, params.lam, params.mu
     i = np.arange(c)
@@ -385,10 +412,10 @@ def kernel_boundary(params: ModelParams) -> tuple:
     t = np.linalg.solve(system, rhs)
     backward = np.abs(system @ t - rhs) / (np.abs(system) @ np.abs(t) + np.abs(rhs))
     err = float(np.linalg.cond(system, 1) * max(np.finfo(float).eps, float(backward.max())))
-    if not err < _MASS_RTOL:
+    if not err < _MAX_RTOL:
         raise FluidTailError(
             f"kernel boundary masses too inaccurate: error estimate {err:.2g} "
-            f"is not below {_MASS_RTOL:g} (c={c})"
+            f"is not below {_MAX_RTOL:g} (c={c})"
         )
     return checked_boundary(params, t * xi, "kernel"), err
 
@@ -397,31 +424,28 @@ def analyze(params: ModelParams) -> TailReport:
     """Run the full analytic pipeline and assemble a TailReport.
 
     The boundary masses, which every prefactor needs, come from
-    kernel_boundary.  The error bar of the transform constant combines the
-    finite-difference spread (pole case) with the masses' relative error
-    estimate.
+    kernel_boundary.  The error bar of the transform constant adds the
+    masses' relative error estimate to the rounding bar of the pole case.
     """
     require_stable(params)
     zero = find_coeff_zero(params)
     case, alpha_star = classify(params, zero)
     boundary, boundary_err = kernel_boundary(params)
     if case is TailCase.POLE:
-        c_const, fd_err = constant_simple_pole(params, boundary, zero)
+        c_const, rounding_err = constant_simple_pole(params, boundary, zero)
     elif case is TailCase.POLE_AT_BRANCH:
-        c_const, fd_err = constant_pole_at_branch(params, boundary), 0.0
+        c_const, rounding_err = constant_pole_at_branch(params, boundary), 0.0
     else:
-        c_const, fd_err = constant_branch_only(params, boundary), 0.0
-    c_err = fd_err + boundary_err * abs(c_const)
+        c_const, rounding_err = constant_branch_only(params, boundary), 0.0
+    c_err = rounding_err + boundary_err * abs(c_const)
 
-    k = zero.multiplicity if case is TailCase.POLE else 1
-    pref, power = density_prefactor(case, c_const, k)
+    pref, power = density_prefactor(case, c_const)
     z0 = complex(branch_small(params, alpha_star)).real
     z1 = complex(branch_large(params, alpha_star)).real
     report = TailReport(
         params=params,
         case=case,
         alpha_star=alpha_star,
-        multiplicity=k,
         z_star=z0,
         z_large=z1,
         z_tilde=params.c * params.mu / params.lam,

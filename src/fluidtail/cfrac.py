@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import FluidTailError, PoleError
-from .kernel import density_coeff, mass_coeff, mass_coeff_dz
+from .kernel import density_coeff, mass_coeff
 from .model import ModelParams
 
 
@@ -182,15 +182,6 @@ def density_coeff_reduced(params: ModelParams, alpha, z):
     return lam * z ** c * ratio_chain_value(params, alpha) + base
 
 
-def density_coeff_reduced_dz(params: ModelParams, alpha, z):
-    """Exact z-derivative of density_coeff_reduced."""
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    head = (mu - alpha * r - alpha) * c * z ** (c - 1) - c * (c - 1) * mu * z ** (c - 2)
-    if c == 1:
-        return head
-    return lam * c * z ** (c - 1) * ratio_chain_value(params, alpha) + head
-
-
 def forcing_reduced(params: ModelParams, boundary: BoundaryVector, alpha, z):
     """Known forcing term of the folded identity (linear in the boundary masses)."""
     c, lam = params.c, params.lam
@@ -201,16 +192,6 @@ def forcing_reduced(params: ModelParams, boundary: BoundaryVector, alpha, z):
     return mass_coeff(params, z) * p[c - 1] + lam * z ** c * (p[c - 2] + acc)
 
 
-def forcing_reduced_dz(params: ModelParams, boundary: BoundaryVector, alpha, z):
-    """Exact z-derivative of forcing_reduced."""
-    c, lam = params.c, params.lam
-    p = boundary.masses
-    if c == 1:
-        return mass_coeff_dz(params, z) * p[0]
-    acc = chain_offset(params, boundary, alpha, c - 2)
-    return mass_coeff_dz(params, z) * p[c - 1] + lam * c * z ** (c - 1) * (p[c - 2] + acc)
-
-
 def boundary_gf(params: ModelParams, boundary: BoundaryVector, z):
     """Generating function of the boundary masses over phases >= c-1.
 
@@ -219,13 +200,6 @@ def boundary_gf(params: ModelParams, boundary: BoundaryVector, z):
     """
     c = params.c
     return boundary.masses[c - 1] * z ** (c - 1)
-
-
-def boundary_gf_dz(params: ModelParams, boundary: BoundaryVector, z):
-    c = params.c
-    if c == 1:
-        return 0.0 * z
-    return (c - 1) * boundary.masses[c - 1] * z ** (c - 2)
 
 
 @dataclass(frozen=True)

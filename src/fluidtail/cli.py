@@ -46,22 +46,27 @@ def _emit(args, payload: dict, csv_text: str | None = None):
         sys.stdout.write(text)
 
 
+def _prefactor_val(report, value) -> dict:
+    """A prefactor (linear in the transform constant) with its error bar."""
+    rel_err = report.c_const_err / max(abs(report.c_const), 1e-300)
+    return _val(value, "analytic", rel_err * abs(value))
+
+
 def _report_payload(report) -> dict:
-    b_err = report.c_const_err / max(abs(report.c_const), 1e-300)
     return {
         "schema": SCHEMA,
         "params": {"c": report.params.c, "lam": report.params.lam,
                    "mu": report.params.mu, "r": report.params.r},
         "case": _val(report.case.label, "analytic"),
         "alpha_star": _val(report.alpha_star, "analytic", report.zero.residual),
-        "multiplicity": _val(report.multiplicity, "analytic"),
+        # a decay-rate zero is always simple; kept for schema 1
+        "multiplicity": _val(1, "analytic"),
         "power": _val(report.power, "analytic"),
         "z_star": _val(report.z_star, "analytic"),
         "phase_ratio": _val(report.phase_ratio, "analytic"),
         "transform_constant": _val(report.c_const, "analytic", report.c_const_err),
-        "density_prefactor": _val(report.prefactor, "analytic", b_err * abs(report.prefactor)),
-        "marginal_prefactor": _val(report.marginal_prefactor, "analytic",
-                                   b_err * abs(report.marginal_prefactor)),
+        "density_prefactor": _prefactor_val(report, report.prefactor),
+        "marginal_prefactor": _prefactor_val(report, report.marginal_prefactor),
         "boundary_residue": _val(report.d_ztilde, "analytic"),
         "z_tilde": _val(report.z_tilde, "analytic"),
         "boundary_masses": _val(list(report.boundary.masses), "analytic", report.boundary_err),
@@ -185,7 +190,7 @@ def cmd_validate(args) -> int:
         "mc_rate_vs_alpha_star": _val(
             abs(fit.rate - report.alpha_star) / report.alpha_star, "simulation"),
         "spectral_window_rate": _val(spectral_window_rate, "spectral"),
-        "density_prefactor": _val(report.prefactor, "analytic", report.c_const_err),
+        "density_prefactor": _prefactor_val(report, report.prefactor),
         "spectral_prefactor": _val(prefactor_fit, "spectral"),
         "boundary_residue": _val(report.d_ztilde, "analytic"),
         "checks": checks,

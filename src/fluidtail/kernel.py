@@ -98,12 +98,13 @@ def branch_small_real(params: ModelParams, alpha):
     Uses the cancellation-free form 2 c mu / (b + sqrt(disc)) of the small
     root (the product of the roots is c mu / lam).  As in branch_small, a
     discriminant within _DOUBLE_ROOT_TOL of zero gives the double root.
-    Negative alpha give values in (0, 1).
+    Negative alpha give values in (0, 1).  A complex alpha a tiny step off
+    the real axis is accepted too, for complex-step derivatives.
     """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     b = -alpha * r + lam + c * mu   # rounded as in branch_small; disc cancels near alpha1
     disc = b * b - 4.0 * c * lam * mu
-    disc = disc * (abs(disc) >= _DOUBLE_ROOT_TOL * (b * b + 4.0 * c * lam * mu))
+    disc = disc * (abs(disc) >= _DOUBLE_ROOT_TOL * abs(b * b + 4.0 * c * lam * mu))
     return 2.0 * c * mu / (b + disc ** 0.5)
 
 
@@ -126,11 +127,6 @@ def mass_coeff(params: ModelParams, z: complex) -> complex:
     return mu * z ** c - c * mu * z ** (c - 1)
 
 
-def mass_coeff_dz(params: ModelParams, z: complex) -> complex:
-    c, mu = params.c, params.mu
-    return c * mu * z ** (c - 1) - c * (c - 1) * mu * z ** (c - 2)
-
-
 def density_coeff(params: ModelParams, alpha: complex, z: complex) -> complex:
     """Coefficient of the lowest free density transform:
     (mu - alpha*r - alpha)*z^c - c*mu*z^(c-1)."""
@@ -143,8 +139,3 @@ def boundary_coeff(params: ModelParams, z: complex) -> complex:
     lam*z^2 - (lam + c*mu)*z + c*mu."""
     c, lam, mu = params.c, params.lam, params.mu
     return lam * z * z - (lam + c * mu) * z + c * mu
-
-
-def boundary_coeff_dz(params: ModelParams, z: complex) -> complex:
-    c, lam, mu = params.c, params.lam, params.mu
-    return 2.0 * lam * z - (lam + c * mu)

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .cfrac import (
-    BoundaryVector,
-    boundary_gf,
-    forcing_reduced,
-    ratio_chain,
-    ratio_chain_value,
-)
+from .cfrac import BoundaryVector, boundary_gf, forcing_reduced, ratio_chain
 from .errors import AssumptionViolatedError, FluidTailError
-from .kernel import boundary_coeff, branch_large, branch_points, branch_small, branch_small_real
+from .kernel import boundary_coeff, branch_points, branch_small, branch_small_real
 from .model import ModelParams, require_stable
 
 # |d| below this (times its term scale) counts as a zero
@@ -45,8 +39,7 @@ _MAX_BISECTIONS = 200   # enough to shrink any double interval to a few ulps
 class CoeffZero:
     """Outcome of the zero search on (0, alpha1]."""
 
-    alpha: float | None         # the zero, if one exists
-    multiplicity: int           # order of the zero (1 unless degenerate)
+    alpha: float | None         # the zero, if one exists; always simple
     at_branch_point: bool       # whether the zero sits at alpha1
     # the zeros found on (0, alpha1], 0 or 1 of them; the name is kept
     # because benchmark traces count its entries
@@ -79,20 +72,12 @@ def rationalized_zero_poly(params: ModelParams) -> np.ndarray:
     return npoly.polyadd(g, c * lam * mu * npoly.polymul(den, den))
 
 
-def composed_coeff(params: ModelParams, alpha, large_branch: bool = False):
-    """f(alpha): the folded coefficient evaluated on a kernel branch."""
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    z = branch_large(params, alpha) if large_branch else branch_small(params, alpha)
-    a_last = ratio_chain_value(params, alpha)
-    return (lam * a_last + mu - alpha * r - alpha) * z ** c - c * mu * z ** (c - 1)
-
-
 def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
     """f on a 101-point grid on (0, alpha1): the reporting scale and zero count.
 
     The grid is evaluated as one array: the chain recursion of
-    ratio_chain_values (it has no pole for alpha > 0) and composed_coeff's
-    formula on the real small branch.
+    ratio_chain_values (it has no pole for alpha > 0) and
+    density_coeff_reduced's formula on the real small branch.
     """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
@@ -114,7 +99,8 @@ def _deflated(params: ModelParams, alpha: float) -> tuple:
         d = z [c mu r / (c mu - lam z) - (r+1) - (c-1) mu e_{c-2} / den_{c-2}]
 
     (no last term for c = 1).  The sum of the three terms' absolute values
-    is the yardstick for "d is zero here".
+    is the yardstick for "d is zero here".  Every step also takes a complex
+    alpha, so d can be differentiated by a complex step.
     """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     z = branch_small_real(params, alpha)
@@ -248,26 +234,6 @@ def growing_zeros(params: ModelParams) -> np.ndarray:
     return zeros
 
 
-def _derivatives_fd(f, x: float, h: float, n_max: int = 4) -> list:
-    """Richardson-extrapolated central-difference derivatives f', .., f^(n_max)."""
-    out = []
-    stencil = {
-        1: ([-1, 1], [-0.5, 0.5]),
-        2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
-        3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
-        4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
-    }
-    for n in range(1, n_max + 1):
-        offs, wts = stencil[n]
-
-        def d(step):
-            return sum(w * f(x + k * step) for k, w in zip(offs, wts)) / step ** n
-
-        a1, a2 = d(h), d(h / 2.0)
-        out.append((4.0 * a2 - a1) / 3.0)  # kills the O(h^2) error term
-    return out
-
-
 def find_coeff_zero(params: ModelParams) -> CoeffZero:
     """Locate the zero of the folded coefficient inside (0, alpha1].
 
@@ -277,9 +243,9 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     between 0 and alpha1.  On (0, alpha1) f has the sign of d, so the grid
     of _coeff_grid counts the zeros: one per sign change, plus one if its
     first value is already positive; more than one raises
-    AssumptionViolatedError.  The multiplicity is read off Richardson finite
-    differences (a zero at alpha1 itself is always simple and is handled
-    without differencing across the branch point).
+    AssumptionViolatedError.  The zero is simple: the bracket only finds
+    zeros of odd order, and alpha* is an isolated eigenvalue of a symmetric
+    operator (spectral.py), whose resolvent has only simple poles.
     """
     require_stable(params)
     alpha1 = branch_points(params).alpha1
@@ -297,35 +263,15 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
         alpha, at_branch = alpha1, True
     elif d1 < 0.0:
         return CoeffZero(
-            alpha=None, multiplicity=0, at_branch_point=False,
+            alpha=None, at_branch_point=False,
             all_roots=np.empty(0), residual=math.inf, scale=scale,
         )
     else:
         alpha, at_branch = _brent(lambda a: _deflated(params, a)[0], 0.0, alpha1, d0, d1), False
     d, size = _deflated(params, alpha)
-    k = 1 if at_branch else _multiplicity(params, alpha, alpha1, scale)
     return CoeffZero(
-        alpha=alpha, multiplicity=k, at_branch_point=at_branch,
+        alpha=alpha, at_branch_point=at_branch,
         all_roots=np.array([alpha]), residual=abs(d) / size, scale=scale,
-    )
-
-
-def _multiplicity(params: ModelParams, alpha: float, alpha1: float, scale: float) -> int:
-    f = lambda a: complex(composed_coeff(params, a)).real
-    h = 0.02 * min(alpha, alpha1 - alpha)
-    if h <= 5e-9 * alpha1:
-        # differencing below the noise floor cannot resolve the order; a
-        # higher-order zero this close to the interval ends is a measure-zero
-        # coincidence, so report the generic simple zero
-        return 1
-    derivs = _derivatives_fd(f, alpha, h, n_max=4)
-    sizes = [abs(d) * h ** (n + 1) / math.factorial(n + 1) for n, d in enumerate(derivs)]
-    top = max(sizes + [scale * 1e-300])
-    for n, s in enumerate(sizes):
-        if s > 1e-6 * top:
-            return n + 1
-    raise AssumptionViolatedError(
-        f"zero at alpha={alpha} appears to have multiplicity > 4"
     )
 
 

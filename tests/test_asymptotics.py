@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_params
+from fluidtail import asymptotics
 from fluidtail.asymptotics import (
     TailCase,
+    _derivative,
     analyze,
     boundary_mass_tail,
     classify,
@@ -20,7 +22,7 @@ from fluidtail.asymptotics import (
     transform_continuation,
 )
 from fluidtail.cfrac import BoundaryVector, boundary_gf, forcing_reduced
-from fluidtail.errors import FluidTailError
+from fluidtail.errors import AssumptionViolatedError, FluidTailError
 from fluidtail.kernel import boundary_coeff, branch_points, branch_small, kernel
 from fluidtail.model import ModelParams, phase_stationary
 from fluidtail.roots import find_coeff_zero, growing_zeros
@@ -97,6 +99,133 @@ def test_pole_constant_zero_boundary():
     assert value == 0.0
 
 
+def test_complex_step_derivative():
+    # one complex step recovers f' to rounding, with no step-size trade-off
+    for x0 in (0.4, 3e-9, 250.0):
+        assert _derivative(lambda x: np.sin(2.0 * x), x0) == pytest.approx(
+            2.0 * math.cos(2.0 * x0), rel=1e-14)
+
+
+def test_pole_constant_refuses_a_falling_zero(monkeypatch):
+    # the bracket crosses d from negative to positive; a slope that is not
+    # positive means the zero is not the simple one the constant assumes
+    real = asymptotics._deflated
+    monkeypatch.setattr(asymptotics, "_deflated", lambda p, a: tuple(-v for v in real(p, a)))
+    with pytest.raises(AssumptionViolatedError, match="slope"):
+        analyze(CASE_I)
+
+
+def test_pole_constant_refuses_a_zero_within_rounding_of_alpha1():
+    # mu/(r+1) - lam lies one ulp below alpha1; the sign change of d that the
+    # bracket finds is the edge of the clamped double root, 1.7e-13 below
+    p = ModelParams(c=1, lam=0.8627200784746581, mu=1.6998946588215318, r=0.40370567424729287)
+    assert find_coeff_zero(p).alpha < branch_points(p).alpha1
+    with pytest.raises(FluidTailError, match="lost to rounding"):
+        analyze(p)
+
+
+def _mp_pole_constant(p, masses, alpha_guess):
+    """N(alpha*) / f'(alpha*) in 50-digit arithmetic, Case I.
+
+    f is the folded coefficient on the small branch, differentiated by hand,
+    and N the transform numerator, both written out from their definitions
+    (cfrac, kernel) for the float parameters and the given float masses.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        c = p.c
+        lam, mu, r = mp.mpf(p.lam), mp.mpf(p.mu), mp.mpf(p.r)
+        m = [mp.mpf(float(x)) for x in masses]
+
+        def small_branch(a):
+            b = lam + c * mu - a * r
+            root = mp.sqrt(max(b * b - 4 * c * lam * mu, 0))
+            return 2 * c * mu / (b + root), root
+
+        def chain(a):
+            links, slopes = [mp.mpf(0)], [mp.mpf(0)]
+            for i in range(c - 1):
+                den = (c - i) * a + lam + i * mu - lam * links[-1]
+                slope = (c - i) - lam * slopes[-1]
+                links.append((i + 1) * mu / den)
+                slopes.append(-(i + 1) * mu * slope / den ** 2)
+            return links[1:], slopes[-1]
+
+        def folded(a):
+            z, links = small_branch(a)[0], chain(a)[0]
+            head = lam * (links[-1] if links else 0) + mu - a * (r + 1)
+            return head * z ** c - c * mu * z ** (c - 1)
+
+        def folded_slope(a):
+            (z, root), (links, slope) = small_branch(a), chain(a)
+            dz = r * z / root    # dK = 0: (b - 2 lam z) dz = r z da
+            head = lam * (links[-1] if links else 0) + mu - a * (r + 1)
+            return ((lam * slope - (r + 1)) * z ** c
+                    + (head * c * z - c * (c - 1) * mu) * z ** (c - 2) * dz)
+
+        def numerator(a):
+            z, top = small_branch(a)[0], m[c - 1]
+            n = (lam * z * z - (lam + c * mu) * z + c * mu) * top * z ** (c - 1)
+            n += (mu * z ** c - c * mu * z ** (c - 1)) * top
+            if c > 1:
+                k = [mu * m[1] - lam * m[0]] + [
+                    lam * m[i - 1] - (lam + i * mu) * m[i] + (i + 1) * mu * m[i + 1]
+                    for i in range(1, c - 1)]
+                links = chain(a)[0]
+                offset = mp.mpf(0)
+                for j in range(c - 1):
+                    prod = mp.mpf(1)
+                    for i in range(j, c - 1):
+                        prod *= links[i] / ((i + 1) * mu)
+                    offset += k[j] * lam ** (c - 2 - j) * prod
+                n += lam * z ** c * (m[c - 2] + offset)
+            return n
+
+        # the zero within 1e-6 of the guess: f changes sign there, and the
+        # bracket stays on the real branch, at or below alpha1
+        alpha1 = (mp.sqrt(c * mu) - mp.sqrt(lam)) ** 2 / r
+        guess = mp.mpf(alpha_guess)
+        bracket = (guess * (1 - mp.mpf(1e-6)), min(guess * (1 + mp.mpf(1e-6)), alpha1))
+        alpha = mp.findroot(folded, bracket, solver="anderson")
+        return numerator(alpha) / folded_slope(alpha)
+
+
+def test_pole_constant_near_critical_c1():
+    # alpha* = mu/(r+1) - lam = eps; rounding mu moves alpha*, and with it C,
+    # by about 1e-16/eps relative
+    mpmath = pytest.importorskip("mpmath")
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        p = ModelParams(c=1, lam=1.0, mu=2.0 * (1.0 + eps), r=1.0)
+        rep = analyze(p)
+        assert rep.case is TailCase.POLE
+        with mpmath.workdps(50):
+            lam, mu, r = mpmath.mpf(p.lam), mpmath.mpf(p.mu), mpmath.mpf(p.r)
+            a = mu / (r + 1) - lam
+            b = -a * r + lam + mu
+            z = (b - mpmath.sqrt(b * b - 4 * lam * mu)) / (2 * lam)
+            rho = lam / mu
+            p0 = (1 - rho) - rho * r   # minus the mean drift
+            ref = p0 * lam * z * (z - 1) / (mu * r / (b - 2 * lam * z) - (r + 1) * z)
+            gap = abs(rep.c_const - ref)
+            assert gap <= 1e-14 / eps * abs(ref), eps
+            assert gap <= rep.c_const_err, eps
+
+
+def test_pole_constant_error_bar_covers_reference(rng):
+    # the reference takes the same float masses and its own zero alpha*
+    tuples = [CASE_I, CASE_I_C2]
+    while len(tuples) < 62:
+        p = random_stable_params(rng, c_choices=range(1, 9))
+        zero = find_coeff_zero(p)
+        if zero.alpha is not None and not zero.at_branch_point:
+            tuples.append(p)
+    for p in tuples:
+        rep = analyze(p)
+        ref = _mp_pole_constant(p, rep.boundary.masses, rep.alpha_star)
+        assert abs(rep.c_const - ref) <= rep.c_const_err, p
+
+
 def test_branch_pole_constant_case2(sol_case2):
     # hand value: N = 1, dF/dz = 2, sqrt(alpha2 - alpha*) = sqrt(8)
     boundary = sol_case2.boundary_vector()
@@ -127,8 +256,7 @@ def test_branch_only_constant_case3(sol_case3):
 
 
 def test_density_prefactor_mapping():
-    assert density_prefactor(TailCase.POLE, 0.4, k=1) == (pytest.approx(0.4), 0.0)
-    assert density_prefactor(TailCase.POLE, 0.4, k=3) == (pytest.approx(0.2), 2.0)
+    assert density_prefactor(TailCase.POLE, 0.4) == (pytest.approx(0.4), 0.0)
     c2 = density_prefactor(TailCase.POLE_AT_BRANCH, 1.0)
     assert c2 == (pytest.approx(1.0 / math.sqrt(math.pi)), -0.5)
     c3 = density_prefactor(TailCase.BRANCH_ONLY, 1.0)

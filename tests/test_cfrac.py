@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import CASE_I_C2, CASE_III, random_stable_params
+from fluidtail.asymptotics import _derivative
 from fluidtail.cfrac import (
     BoundaryVector,
     boundary_gf,
     density_coeff_reduced,
-    density_coeff_reduced_dz,
     forcing_reduced,
     lower_phase_chain,
     ratio_chain,
@@ -131,7 +131,8 @@ def test_reduced_coeff_dz_matches_numeric(rng):
         p = random_stable_params(rng, c_choices=(1, 2, 3, 4))
         alpha, z, h = rng.uniform(0.05, 1.0), rng.uniform(1.1, 2.5), 1e-6
         num = (density_coeff_reduced(p, alpha, z + h) - density_coeff_reduced(p, alpha, z - h)) / (2 * h)
-        assert density_coeff_reduced_dz(p, alpha, z) == pytest.approx(num, rel=1e-7)
+        step = _derivative(lambda w: density_coeff_reduced(p, alpha, w), z)
+        assert step == pytest.approx(num, rel=1e-7)
 
 
 def test_forcing_c1_and_linearity():

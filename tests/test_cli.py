@@ -65,6 +65,60 @@ def test_analyze_csv_format(capsys):
     assert {"case", "alpha_star", "density_prefactor"} <= keys
 
 
+# schema 1's analyze payload: each key with the fields of its entry
+ANALYZE_SCHEMA_1 = {
+    "schema": None,
+    "params": {"c", "lam", "mu", "r"},
+    "case": {"value", "source"},
+    "alpha_star": {"value", "source", "error"},
+    "multiplicity": {"value", "source"},
+    "power": {"value", "source"},
+    "z_star": {"value", "source"},
+    "phase_ratio": {"value", "source"},
+    "transform_constant": {"value", "source", "error"},
+    "density_prefactor": {"value", "source", "error"},
+    "marginal_prefactor": {"value", "source", "error"},
+    "boundary_residue": {"value", "source"},
+    "z_tilde": {"value", "source"},
+    "boundary_masses": {"value", "source", "error"},
+}
+REFERENCE_ARGS = {
+    "I": ["--c", "1", "--lambda", "1", "--mu", "3", "--r", "1"],
+    "II": ["--c", "1", "--lambda", "1", "--mu", "4", "--r", "1"],
+    "III": ["--c", "3", "--lambda", "20", "--mu", "30", "--r", "10"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_ARGS))
+def test_analyze_json_keys_are_schema_1(capsys, case):
+    code, out, _ = run_cli(capsys, "analyze", *REFERENCE_ARGS[case])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["case"]["value"] == case
+    assert payload.keys() == ANALYZE_SCHEMA_1.keys()
+    for key, fields in ANALYZE_SCHEMA_1.items():
+        if fields is not None:
+            assert payload[key].keys() == fields, key
+    assert payload["multiplicity"]["value"] == 1
+
+
+def test_validate_and_analyze_agree_on_prefactor_error(capsys):
+    # both payloads give the density prefactor the transform constant's
+    # relative error
+    code, out, _ = run_cli(capsys, "analyze", *REFERENCE_ARGS["III"])
+    assert code == 0
+    analyzed = json.loads(out)
+    _, out, _ = run_cli(
+        capsys, "validate", *REFERENCE_ARGS["III"], "--truncation", "200",
+        "--horizon", "50000", "--samples", "300000", "--seed", "1",
+    )
+    validated = json.loads(out)["density_prefactor"]
+    assert validated == analyzed["density_prefactor"]
+    transform = analyzed["transform_constant"]
+    rel = transform["error"] / transform["value"]
+    assert validated["error"] == pytest.approx(rel * validated["value"], rel=1e-12)
+
+
 def test_solve_json_and_csv(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "solve", "--c", "1", "--lambda", "1", "--mu", "3", "--r", "1",

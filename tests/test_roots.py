@@ -8,16 +8,11 @@ from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_c1, ran
 from fluidtail import roots
 from fluidtail.cfrac import BoundaryVector
 from fluidtail.asymptotics import TailCase, analyze
+from fluidtail.cfrac import density_coeff_reduced
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
-from fluidtail.kernel import branch_points, branch_small
+from fluidtail.kernel import branch_large, branch_points, branch_small
 from fluidtail.model import ModelParams
-from fluidtail.roots import (
-    assumption_report,
-    composed_coeff,
-    find_coeff_zero,
-    growing_zeros,
-    rationalized_zero_poly,
-)
+from fluidtail.roots import assumption_report, find_coeff_zero, growing_zeros, rationalized_zero_poly
 
 
 def corrected_cubic_c2(p):
@@ -101,13 +96,11 @@ def test_printed_cubic_root_rejected_by_oracle():
 def test_zero_search_case1_tuples():
     zero = find_coeff_zero(CASE_I)
     assert zero.alpha == pytest.approx(0.5, rel=1e-12)
-    assert zero.multiplicity == 1
     assert not zero.at_branch_point
 
     zero2 = find_coeff_zero(CASE_II)
     assert zero2.alpha == pytest.approx(1.0, rel=1e-9)
     assert zero2.at_branch_point
-    assert zero2.multiplicity == 1
 
 
 def test_zero_search_closed_form_grid(rng):
@@ -139,8 +132,8 @@ def test_case3_exists_for_c1():
     cand = p.mu / (p.r + 1.0) - p.lam
     bp = branch_points(p)
     assert 0.0 < cand < bp.alpha1
-    assert abs(composed_coeff(p, cand, large_branch=True)) < 1e-10
-    assert abs(composed_coeff(p, cand)) > 1.0
+    assert abs(density_coeff_reduced(p, cand, branch_large(p, cand))) < 1e-10
+    assert abs(density_coeff_reduced(p, cand, branch_small(p, cand))) > 1.0
     assert find_coeff_zero(p).alpha is None
     s1 = solve_truncated(p, 400).eigenvalues[0].real
     assert -s1 == pytest.approx(bp.alpha1, rel=1e-3)
@@ -164,7 +157,6 @@ def test_zero_search_closed_form_literal(rng):
 def test_zero_search_c2_interior_zero(sol_case1_c2):
     zero = find_coeff_zero(CASE_I_C2)
     assert zero.alpha is not None and not zero.at_branch_point
-    assert zero.multiplicity == 1
     # the zero is the dominant decay rate of the truncated system
     assert -sol_case1_c2.eigenvalues[0].real == pytest.approx(zero.alpha, rel=1e-9)
 
@@ -180,7 +172,8 @@ def test_zero_search_case3_filters_large_branch_root():
               if abs(w.imag) < 1e-8 and 1e-9 < w.real <= bp.alpha1]
     assert len(inside) == 1
     assert inside[0] == pytest.approx(2.483285, rel=1e-5)
-    assert abs(composed_coeff(CASE_III, inside[0], large_branch=True)) < 1e-6 * zero.scale
+    large = branch_large(CASE_III, inside[0])
+    assert abs(density_coeff_reduced(CASE_III, inside[0], large)) < 1e-6 * zero.scale
 
 
 def test_zero_search_large_c_has_no_false_zero():
@@ -205,7 +198,7 @@ def test_zero_search_near_critical_c1():
         expected = p.mu / (p.r + 1.0) - p.lam
         zero = find_coeff_zero(p)
         assert zero.alpha == pytest.approx(expected, rel=1e-14 / eps, abs=0.0), eps
-        assert zero.multiplicity == 1 and not zero.at_branch_point
+        assert not zero.at_branch_point
 
 
 def test_zero_search_matches_polynomial_roots(rng):
@@ -249,16 +242,10 @@ def test_filtering_soundness(rng):
         zero = find_coeff_zero(p)
         if zero.alpha is None or zero.at_branch_point:
             continue
-        small = abs(composed_coeff(p, zero.alpha))
-        large = abs(composed_coeff(p, zero.alpha, large_branch=True))
+        small = abs(density_coeff_reduced(p, zero.alpha, branch_small(p, zero.alpha)))
+        large = abs(density_coeff_reduced(p, zero.alpha, branch_large(p, zero.alpha)))
         assert small < 1e-8 * zero.scale
         assert large > 1e-4 * zero.scale
-
-
-def test_branch_point_zero_is_simple(rng):
-    # whenever the zero lands on the branch point the reported order is 1
-    zero = find_coeff_zero(CASE_II)
-    assert zero.at_branch_point and zero.multiplicity == 1
 
 
 def test_assumption_report_c1_closed_form(sol_case1):
@@ -296,34 +283,6 @@ def test_assumption_report_degenerate_flag():
     zero = find_coeff_zero(p)
     rep = assumption_report(p, zero, BoundaryVector(masses=(0.0,)))
     assert rep.degenerate
-
-
-def test_fd_derivatives_on_synthetic_function():
-    # the Richardson stencils behind multiplicity detection, on a function
-    # with known derivatives
-    from fluidtail.roots import _derivatives_fd
-
-    f = lambda x: np.sin(2.0 * x)
-    x0 = 0.4
-    d = _derivatives_fd(f, x0, h=0.02, n_max=4)
-    expected = [2 * np.cos(0.8), -4 * np.sin(0.8), -8 * np.cos(0.8), 16 * np.sin(0.8)]
-    for got, want in zip(d, expected):
-        assert got == pytest.approx(want, rel=1e-5)
-
-
-def test_multiplicity_orders_on_synthetic_zeros():
-    # the order classifier used on the composed coefficient, checked on
-    # polynomials with zeros of known order
-    from fluidtail.roots import _derivatives_fd
-
-    for k in (1, 2, 3):
-        f = lambda x: (x - 1.0) ** k * (2.0 + x)
-        derivs = _derivatives_fd(f, 1.0, h=0.01, n_max=4)
-        sizes = [abs(d) * 0.01 ** (n + 1) / math.factorial(n + 1)
-                 for n, d in enumerate(derivs)]
-        top = max(sizes)
-        first = next(n + 1 for n, s in enumerate(sizes) if s > 1e-6 * top)
-        assert first == k
 
 
 def test_gtilde_convexity(rng):
@@ -386,5 +345,6 @@ def test_coeff_scale_matches_scalar_loop(rng):
     for p in tuples:
         alpha1 = branch_points(p).alpha1
         grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
-        loop = max(abs(complex(composed_coeff(p, a)).real) for a in grid)
+        loop = max(abs(complex(density_coeff_reduced(p, a, branch_small(p, a))).real)
+                   for a in grid)
         assert np.max(np.abs(roots._coeff_grid(p, alpha1))) == pytest.approx(loop, rel=1e-12)
