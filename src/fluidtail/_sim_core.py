@@ -9,6 +9,12 @@ most `_BLOCK` events.  Once the horizon is in sight, a sub-block is sized
 from the time left and the event rate so far, so that few events are built
 past the horizon.
 
+Events and samples are both in time order, so the bookkeeping locates them
+by ranges, with no search per element: `_sample_events` finds each stride
+sample's event from per-event sample counts (an even-stride guess, checked
+against the samples), and `_occupation` bins each time block's events as
+one slice (`_block_slices`).
+
 The phase path is a recursion, `x + 1` if `x < th[k]` else `x - 1`, and
 `_phase_path` computes it exactly with whole-array steps.  The sub-block is
 cut into rows of `_ROW` events that step in lockstep.  Row 0 starts at the
@@ -146,6 +152,91 @@ def _phase_path(th, x0, c):
     return xs[:n + 1]
 
 
+def _sample_events(ends, ts, stride):
+    """Event of each sample, `np.searchsorted(ends[:-1], ts, side="left")`, from counts.
+
+    `ends` and `ts` are sorted, and `ts` steps by about `stride`.  The count
+    of samples at or before each event's end starts from the even-stride
+    guess and moves by one against the real `ts` until no count moves; `ts`
+    is a running sum whose rounding drifts far less than a stride, so the
+    guess is off only next to a tie, and by one.  Sample i then lies in
+    event `#{k : count[k] <= i}`.
+    """
+    m = ts.shape[0]
+    e = ends[:-1]
+    guess = (e - ts[0]) / stride
+    np.clip(guess, -1.0, m, out=guess)
+    cnt = guess.astype(np.int64)
+    cnt += 1
+    np.minimum(cnt, m, out=cnt)
+
+    def moves(c, ec):
+        """+1 where the next sample is at or before the end, -1 where the last one is after it."""
+        up = ts.take(c, mode="clip") <= ec
+        up &= c < m
+        down = ts.take(c - 1, mode="clip") > ec
+        down &= c > 0
+        return up.view(np.int8) - down.view(np.int8)
+
+    step = moves(cnt, e)
+    k = np.flatnonzero(step)
+    step = step[k]
+    while k.size:
+        cnt[k] += step
+        step = moves(cnt[k], e[k])
+        moved = step != 0
+        k, step = k[moved], step[moved]
+    return np.cumsum(np.bincount(cnt, minlength=m + 1)[:m])
+
+
+def _block_slices(starts, block_len, n_blocks):
+    """(blocks, bounds): the events of block `blocks[j]` are `bounds[j]:bounds[j + 1]`.
+
+    Event k belongs to block `int(starts[k] / block_len)`, the last block
+    taking everything later.  `starts` is sorted, so each block's events are
+    one slice; its first event is found by a search on the block's start
+    time, then moved to where the division puts it.
+    """
+    n = starts.shape[0]
+    first = min(int(starts[0] / block_len), n_blocks - 1)
+    last = min(int(starts[-1] / block_len), n_blocks - 1)
+    blocks = range(first, last + 1)
+    cuts = np.searchsorted(starts, np.arange(first + 1, last + 1) * block_len).tolist()
+    for j, b in enumerate(blocks[1:]):
+        k = cuts[j]
+        while k > 0 and starts[k - 1] / block_len >= b:
+            k -= 1
+        while k < n and starts[k] / block_len < b:
+            k += 1
+        cuts[j] = k
+    return blocks, [0, *cuts, n]
+
+
+def _occupation(sojourn, starts, ends, ph, block_len, n_blocks):
+    """Add the time of event `[starts[k], ends[k])` in phase `ph[k]` to `sojourn[block, phase]`.
+
+    Within a block's slice of events (`_block_slices`), those that end past
+    the block's end are a suffix; the rest are binned at once, and the few
+    that cross an edge are split afterwards, in event order.
+    """
+    blocks, bounds = _block_slices(starts, block_len, n_blocks)
+    crossing = []
+    for b, lo, hi in zip(blocks, bounds, bounds[1:]):
+        mid = hi
+        if b < n_blocks - 1:
+            mid = lo + int(np.searchsorted(ends[lo:hi], (b + 1) * block_len, side="right"))
+            crossing.extend((k, b) for k in range(mid, hi))
+        if mid > lo:
+            sojourn[b] += np.bincount(ph[lo:mid], weights=ends[lo:mid] - starts[lo:mid],
+                                      minlength=sojourn.shape[1])
+    for k, b in crossing:
+        left, right, p = float(starts[k]), float(ends[k]), ph[k]
+        while left < right:
+            edge = right if b == n_blocks - 1 else max(min(right, (b + 1) * block_len), left)
+            sojourn[b, p] += edge - left
+            left, b = edge, b + 1
+
+
 def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
             lam, mu, c, r, exps, us, out_level, out_phase,
             sojourn, block_len, n_blocks):
@@ -155,9 +246,11 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
     the number of events consumed.  Between jumps the level moves linearly
     at the phase's net rate and is clamped at zero exactly: a sample landing
     after the hitting time reads zero, not a negative excursion.  Samples
-    are taken every `stride` time units after `warmup`; per-phase occupation
-    time is accumulated into consecutive blocks of length `block_len` for
-    variance estimation.
+    are taken every `stride` time units after `warmup`, on a grid that is a
+    running sum from `next_sample`, and each is read on its event interval
+    (`_sample_events`); per-phase occupation time is accumulated into
+    consecutive blocks of length `block_len` for variance estimation, one
+    slice of events per block (`_occupation`).
     """
     max_phase = sojourn.shape[1] - 1
     rates = lam + np.arange(c + 1) * mu
@@ -199,7 +292,9 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
         t_last = float(ends[-1])
         n_samples = max(int((t_last - next_sample) / stride), 0) + 2
         while True:
-            st = np.cumsum(np.concatenate(([next_sample], np.full(n_samples - 1, stride))))
+            st = np.full(n_samples, stride)
+            st[0] = next_sample
+            np.cumsum(st, out=st)
             if st[-1] > t_last:
                 break
             n_samples *= 2
@@ -208,27 +303,14 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
         q = min(due, w0 + out_level.shape[0] - n_written)
         if q > w0:
             ts = st[w0:q]
-            ev = np.searchsorted(ends[:-1], ts, side="left")
+            ev = _sample_events(ends, ts, stride)
             out_level[n_written:n_written + q - w0] = np.maximum(
                 levels[ev] + net[ev] * (ts - starts[ev]), 0.0)
             out_phase[n_written:n_written + q - w0] = np.minimum(x[ev], max_phase)
             n_written += q - w0
         next_sample = float(st[due])
 
-        # occupation time per (block, phase); the few intervals crossing a block edge are split
-        ph = np.minimum(x, max_phase)
-        blk = np.minimum((starts / block_len).astype(np.int64), n_blocks - 1)
-        cross = (blk < n_blocks - 1) & (ends > (blk + 1) * block_len)
-        inside = ~cross
-        sojourn += np.bincount(
-            blk[inside] * (max_phase + 1) + ph[inside],
-            weights=(ends - starts)[inside], minlength=sojourn.size,
-        ).reshape(sojourn.shape)
-        for left, right, b, p in zip(starts[cross], ends[cross], blk[cross], ph[cross]):
-            while left < right:
-                edge = right if b == n_blocks - 1 else max(min(right, (b + 1) * block_len), left)
-                sojourn[b, p] += edge - left
-                left, b = edge, b + 1
+        _occupation(sojourn, starts, ends, np.minimum(x, max_phase), block_len, n_blocks)
 
         level = float(levels[-1])
         t = float(ends[-1])

@@ -101,11 +101,21 @@ def branch_small_real(params: ModelParams, alpha):
     Negative alpha give values in (0, 1).  A complex alpha a tiny step off
     the real axis is accepted too, for complex-step derivatives.
     """
+    b, disc = _clamped_disc(params, alpha)
+    return 2.0 * params.c * params.mu / (b + disc ** 0.5)
+
+
+def at_double_root(params: ModelParams, alpha: float) -> bool:
+    """Whether branch_small_real takes the double root at alpha (next to alpha1 or alpha2)."""
+    return _clamped_disc(params, alpha)[1] == 0.0
+
+
+def _clamped_disc(params: ModelParams, alpha):
+    """(b, disc) of K(alpha, .) for branch_small_real; disc within _DOUBLE_ROOT_TOL of 0 is 0."""
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     b = -alpha * r + lam + c * mu   # rounded as in branch_small; disc cancels near alpha1
     disc = b * b - 4.0 * c * lam * mu
-    disc = disc * (abs(disc) >= _DOUBLE_ROOT_TOL * abs(b * b + 4.0 * c * lam * mu))
-    return 2.0 * c * mu / (b + disc ** 0.5)
+    return b, disc * (abs(disc) >= _DOUBLE_ROOT_TOL * abs(b * b + 4.0 * c * lam * mu))
 
 
 def branch_large(params: ModelParams, alpha: complex) -> complex:

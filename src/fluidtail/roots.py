@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .cfrac import BoundaryVector, boundary_gf, forcing_reduced, ratio_chain
 from .errors import AssumptionViolatedError, FluidTailError
-from .kernel import boundary_coeff, branch_points, branch_small, branch_small_real
+from .kernel import at_double_root, boundary_coeff, branch_points, branch_small, branch_small_real
 from .model import ModelParams, require_stable
 
 # |d| below this (times its term scale) counts as a zero
@@ -240,7 +240,9 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     The deflated coefficient d of _deflated is negative at 0.  The zero
     sits at alpha1 when |d(alpha1)| is below _ZERO_TOL of its term scale,
     there is none when d(alpha1) < 0, and otherwise Brent's method finds it
-    between 0 and alpha1.  On (0, alpha1) f has the sign of d, so the grid
+    between 0 and alpha1.  A zero it finds where branch_small_real clamps the
+    small branch to the double root sits at alpha1 too: the sign change there
+    is the clamp's jump.  On (0, alpha1) f has the sign of d, so the grid
     of _coeff_grid counts the zeros: one per sign change, plus one if its
     first value is already positive; more than one raises
     AssumptionViolatedError.  The zero is simple: the bracket only finds
@@ -267,7 +269,12 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
             all_roots=np.empty(0), residual=math.inf, scale=scale,
         )
     else:
-        alpha, at_branch = _brent(lambda a: _deflated(params, a)[0], 0.0, alpha1, d0, d1), False
+        alpha = _brent(lambda a: _deflated(params, a)[0], 0.0, alpha1, d0, d1)
+        # a sign change where the small branch is clamped to the double root is the jump
+        # of that clamp, no zero of d: the zero is within rounding of alpha1
+        at_branch = at_double_root(params, alpha)
+        if at_branch:
+            alpha = alpha1
     d, size = _deflated(params, alpha)
     return CoeffZero(
         alpha=alpha, at_branch_point=at_branch,

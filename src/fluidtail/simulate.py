@@ -110,8 +110,7 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
 
     levels = out_level[:n_written]
     phases = out_phase[:n_written]
-    grid, survival, phase_survival, block_counts = _tabulate(config, levels, phases)
-    freq = np.bincount(phases, minlength=config.tracked_phases + 1) / max(n_written, 1)
+    grid, survival, phase_survival, block_counts, freq = _tabulate(config, levels, phases)
     est = SurvivalEstimate(
         config=config,
         grid=grid,
@@ -142,32 +141,45 @@ def _with_fit(est: SurvivalEstimate, fit: TailFit) -> SurvivalEstimate:
 
 
 def _tabulate(config: SimConfig, levels: np.ndarray, phases: np.ndarray):
+    """(grid, survival, phase_survival, block_counts, phase_frequency) of the samples.
+
+    Sample i of n falls in time block `(i * n_blocks) // n`, so block b is the
+    slice `[ceil(b n / n_blocks), ceil((b + 1) n / n_blocks))`; each slice
+    is binned once, in pieces of at most _PIECE samples.
+    """
     n_bins = 2048
     top = float(levels.max()) if levels.size else 1.0
     top = max(top, 1e-9)  # guard against an all-zero sample set
     edges = np.linspace(0.0, top * (1 + 1e-9), n_bins + 1)
     grid = edges[1:]
+    # bin i holds lower[i] <= level < upper[i], as np.histogram counts; every level is
+    # below edges[-1], so the last bin may be left open above
+    lower, upper = edges[:-1], np.append(edges[1:-1], np.inf)
+    scale = n_bins / edges[-1]
     n = max(levels.size, 1)
+    n_blocks = config.n_blocks
     n_phases = config.tracked_phases + 1
     per_phase = np.zeros(n_phases * n_bins, np.int64)
-    per_block = np.zeros(config.n_blocks * n_bins, np.int64)
-    # pieces of samples keep the index arrays small
-    for lo in range(0, levels.size, _PIECE):
-        x = levels[lo:lo + _PIECE]
-        # uniform-bin index, moved by one where roundoff puts a level across its edge:
-        # bin i holds edges[i] <= level < edges[i + 1], as np.histogram counts
-        idx = np.minimum((x * (n_bins / edges[-1])).astype(np.intp), n_bins - 1)
-        idx -= x < edges[idx]
-        idx += (x >= edges[idx + 1]) & (idx < n_bins - 1)
-        per_phase += np.bincount(phases[lo:lo + _PIECE] * n_bins + idx, minlength=per_phase.size)
-        # per-block histograms for the bootstrap
-        block_of = (np.arange(lo, lo + x.size) * config.n_blocks) // n
-        per_block += np.bincount(block_of * n_bins + idx, minlength=per_block.size)
+    per_block = np.zeros((n_blocks, n_bins), np.int64)
+    bounds = [-(-b * levels.size // n_blocks) for b in range(n_blocks + 1)]
+    for b in range(n_blocks):
+        for lo in range(bounds[b], bounds[b + 1], _PIECE):
+            hi = min(lo + _PIECE, bounds[b + 1])
+            x = levels[lo:hi]
+            # uniform-bin index, moved by one where roundoff puts a level across its edge
+            idx = (x * scale).astype(np.intp)
+            np.minimum(idx, n_bins - 1, out=idx)
+            idx -= x < lower.take(idx)
+            idx += x >= upper.take(idx)
+            per_block[b] += np.bincount(idx, minlength=n_bins)
+            idx += phases[lo:hi] * n_bins
+            counts = np.bincount(idx)
+            per_phase[:counts.size] += counts
     per_phase = per_phase.reshape(n_phases, n_bins)
+    in_phase = per_phase.sum(axis=1)
     survival = 1.0 - np.cumsum(per_phase.sum(axis=0)) / n
-    phase_survival = (per_phase.sum(axis=1, keepdims=True) - np.cumsum(per_phase, axis=1)) / n
-    block_counts = per_block.reshape(config.n_blocks, n_bins).astype(float)
-    return grid, survival, phase_survival, block_counts
+    phase_survival = (in_phase[:, None] - np.cumsum(per_phase, axis=1)) / n
+    return grid, survival, phase_survival, per_block.astype(float), in_phase / n
 
 
 def default_window(est: SurvivalEstimate, s_high: float = 3e-2, s_low: float = 1e-4):

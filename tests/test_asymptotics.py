@@ -115,13 +115,16 @@ def test_pole_constant_refuses_a_falling_zero(monkeypatch):
         analyze(CASE_I)
 
 
-def test_pole_constant_refuses_a_zero_within_rounding_of_alpha1():
+def test_zero_within_rounding_of_alpha1_is_the_branch_point():
     # mu/(r+1) - lam lies one ulp below alpha1; the sign change of d that the
-    # bracket finds is the edge of the clamped double root, 1.7e-13 below
+    # bracket finds, 1.7e-13 below it, is the edge of the clamped double root
     p = ModelParams(c=1, lam=0.8627200784746581, mu=1.6998946588215318, r=0.40370567424729287)
-    assert find_coeff_zero(p).alpha < branch_points(p).alpha1
-    with pytest.raises(FluidTailError, match="lost to rounding"):
-        analyze(p)
+    zero = find_coeff_zero(p)
+    assert zero.at_branch_point and zero.alpha == branch_points(p).alpha1
+    report = analyze(p)
+    assert report.case is TailCase.POLE_AT_BRANCH
+    assert math.isfinite(report.prefactor) and report.prefactor > 0.0
+    assert report.c_const_err < asymptotics._MAX_RTOL * abs(report.c_const)
 
 
 def _mp_pole_constant(p, masses, alpha_guess):

@@ -151,6 +151,27 @@ def test_tables_match_histograms(est_case1):
     for b in range(n_blocks):
         counts, _ = np.histogram(est.samples_level[block_of == b], bins=edges)
         assert np.array_equal(est.block_counts[b], counts)
+    freq = np.bincount(est.samples_phase, minlength=est.config.tracked_phases + 1) / n
+    assert np.array_equal(est.phase_frequency, freq)
+
+
+@pytest.mark.parametrize("n, n_blocks", [(1003, 7), (20, 50), (1, 3), (140_001, 2)])
+def test_tabulate_blocks_are_slices_of_the_samples(n, n_blocks):
+    # counts off a multiple of n_blocks, empty blocks, and blocks longer than one binning piece
+    rng = np.random.Generator(np.random.Philox(17))
+    levels = np.maximum(rng.exponential(1.0, n) - 0.3, 0.0)
+    phases = rng.integers(0, 33, n)
+    config = SimConfig(params=CASE_I, horizon=10.0, seed=1, n_blocks=n_blocks)
+    grid, _, phase_survival, block_counts, freq = _tabulate(config, levels, phases)
+    edges = np.concatenate(([0.0], grid))
+    block_of = (np.arange(n) * n_blocks) // n
+    for b in range(n_blocks):
+        counts, _ = np.histogram(levels[block_of == b], bins=edges)
+        assert np.array_equal(block_counts[b], counts)
+    for i in range(33):
+        counts, _ = np.histogram(levels[phases == i], bins=edges)
+        assert np.array_equal(phase_survival[i], (counts.sum() - np.cumsum(counts)) / n)
+    assert np.array_equal(freq, np.bincount(phases, minlength=33) / n)
 
 
 @pytest.mark.parametrize("top", [7.3, 1.75111, 63.7325])
@@ -160,7 +181,7 @@ def test_tabulate_bins_levels_on_edges(top):
     levels = np.concatenate((edges[:-1], np.nextafter(edges[:-1], np.inf),
                              np.nextafter(edges[1:-1], 0.0), [top]))
     config = make_config(CASE_I)
-    _, survival, _, block_counts = _tabulate(config, levels, np.zeros(levels.size, np.int64))
+    _, survival, _, block_counts, _ = _tabulate(config, levels, np.zeros(levels.size, np.int64))
     counts, _ = np.histogram(levels, bins=edges)
     assert np.array_equal(block_counts.sum(axis=0), counts)
     assert np.array_equal(survival, 1.0 - np.cumsum(counts) / levels.size)
@@ -377,3 +398,99 @@ def test_advance_builds_few_events_past_the_horizon(monkeypatch):
         np.zeros(1 << 17), np.zeros(1 << 17, np.int64), np.zeros((4, 6)), horizon / 4, 4)
     assert 1 << 16 < used < exps.shape[0]
     assert steps - used < 0.01 * used
+
+
+def test_sample_events_match_searchsorted():
+    # ties, samples before the first end and past the last, sub-blocks of 1 and 2 events,
+    # strides 100 times above and below the event spacing, and grids cut at a warm-up
+    rng = np.random.Generator(np.random.Philox(13))
+    for _ in range(400):
+        n = int(rng.choice([1, 2, 3, 64, 3000]))
+        spacing = rng.exponential()
+        stride = spacing * float(rng.choice([0.01, 0.37, 1.0, 2.9, 100.0]))
+        t0 = rng.uniform(0.0, 1e4)
+        ends = t0 + np.cumsum(rng.exponential(spacing, n))
+        start = t0 + rng.uniform(-3.0, 1.0) * stride
+        m = max(int((ends[-1] - start) / stride), 0) + int(rng.integers(1, 4))
+        st = np.full(m, stride)
+        st[0] = start
+        np.cumsum(st, out=st)
+        ts = st[int(rng.integers(0, m)):]
+        tie = rng.random(n) < 0.3
+        ends[tie] = ts[rng.integers(0, ts.size, n)][tie]
+        ends.sort()
+        expected = np.searchsorted(ends[:-1], ts, side="left")
+        assert np.array_equal(_sim_core._sample_events(ends, ts, stride), expected)
+
+
+def _whole_array_occupation(sojourn, starts, ends, ph, block_len, n_blocks):
+    """The occupation bookkeeping as one bincount over every event, then the edge splits."""
+    blk = np.minimum((starts / block_len).astype(np.int64), n_blocks - 1)
+    cross = (blk < n_blocks - 1) & (ends > (blk + 1) * block_len)
+    inside = ~cross
+    sojourn += np.bincount(
+        blk[inside] * sojourn.shape[1] + ph[inside],
+        weights=(ends - starts)[inside], minlength=sojourn.size,
+    ).reshape(sojourn.shape)
+    for left, right, b, p in zip(starts[cross], ends[cross], blk[cross], ph[cross]):
+        while left < right:
+            edge = right if b == n_blocks - 1 else max(min(right, (b + 1) * block_len), left)
+            sojourn[b, p] += edge - left
+            left, b = edge, b + 1
+
+
+def test_occupation_matches_whole_array_bincount(monkeypatch):
+    # blocks shorter than many events: intervals cross two or more edges, and the
+    # events past n_blocks * block_len fall in the last block
+    calls = []
+    occupation = _sim_core._occupation
+
+    def recording_occupation(sojourn, starts, ends, ph, block_len, n_blocks):
+        calls.append((starts.copy(), ends.copy(), ph.copy(), block_len, n_blocks))
+        occupation(sojourn, starts, ends, ph, block_len, n_blocks)
+
+    monkeypatch.setattr(_sim_core, "_occupation", recording_occupation)
+    monkeypatch.setattr(_sim_core, "_BLOCK", 1000)
+    rng = np.random.Generator(np.random.Philox(23))
+    exps, us = rng.standard_exponential(1 << 13), rng.random(1 << 13)
+    p, horizon, n_blocks = C8, 300.3, 1500
+    sojourn = np.zeros((n_blocks, 6))
+    _sim_core.advance(0, 0.0, 0.0, horizon, 0.0, 0.5, 0.5, 0, p.lam, p.mu, p.c, p.r, exps, us,
+                      np.zeros(700), np.zeros(700, np.int64), sojourn, horizon / n_blocks, n_blocks)
+    expected = np.zeros_like(sojourn)
+    for starts, ends, ph, block_len, nb in calls:
+        _whole_array_occupation(expected, starts, ends, ph, block_len, nb)
+    assert len(calls) > 2
+    starts, ends = np.concatenate([c[0] for c in calls]), np.concatenate([c[1] for c in calls])
+    block_len = horizon / n_blocks
+    assert np.any((ends / block_len).astype(int) - (starts / block_len).astype(int) >= 2)
+    assert np.count_nonzero(starts >= (n_blocks - 1) * block_len) > 1
+    assert np.array_equal(sojourn, expected)
+
+
+def test_block_slices_follow_the_division():
+    # 1.7 / 0.1 rounds up to 17 though 1.7 < 17 * 0.1, and 4.3 / 0.1 rounds down below 43
+    # though 4.3 >= 43 * 0.1: a search on the block start times alone misplaces both events
+    block_len, n_blocks = 0.1, 60
+    assert 1.7 / block_len >= 17 and 1.7 < 17 * block_len
+    assert 4.3 / block_len < 43 and 4.3 >= 43 * block_len
+    starts = np.array([1.65, 1.7, 1.75, 4.25, 4.3, 4.35])
+    ends = np.append(starts[1:], 4.4)
+    ph = np.arange(6)
+    sojourn, expected = np.zeros((n_blocks, 6)), np.zeros((n_blocks, 6))
+    _sim_core._occupation(sojourn, starts, ends, ph, block_len, n_blocks)
+    _whole_array_occupation(expected, starts, ends, ph, block_len, n_blocks)
+    assert np.array_equal(sojourn, expected)
+    # and on random times: blocks of tenths, thirds and the horizon 100.3 cut in 50
+    rng = np.random.Generator(np.random.Philox(29))
+    cases = [(starts, block_len, n_blocks)]
+    for block_len in (0.1, 1 / 3, 100.3 / 50):
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            times = np.round(rng.uniform(0.0, 60.0 * block_len, n), int(rng.integers(1, 4)))
+            cases.append((np.sort(times), block_len, 50))
+    for starts, block_len, n_blocks in cases:
+        blk = np.minimum((starts / block_len).astype(np.int64), n_blocks - 1)
+        blocks, bounds = _sim_core._block_slices(starts, block_len, n_blocks)
+        assert list(blocks) == list(range(blk[0], blk[-1] + 1))
+        assert bounds == np.searchsorted(blk, np.arange(blk[0], blk[-1] + 2)).tolist()
