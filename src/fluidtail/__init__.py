@@ -15,7 +15,7 @@ from .asymptotics import (
     lower_phase_tail,
     marginal_tail,
 )
-from .cfrac import BoundaryVector, RationalFn, ratio_chain
+from .cfrac import BoundaryVector
 from .errors import (
     AssumptionViolatedError,
     BranchCutError,
@@ -35,7 +35,7 @@ from .model import (
     is_stable,
     phase_stationary,
 )
-from .roots import CoeffZero, find_coeff_zero, rationalized_zero_poly
+from .roots import CoeffZero, find_coeff_zero
 from .simulate import SimConfig, SurvivalEstimate, fit_tail, simulate
 
 __version__ = "0.1.0"
@@ -65,7 +65,6 @@ __all__ = [
     "ModelParams",
     "PhaseDistribution",
     "PoleError",
-    "RationalFn",
     "SimConfig",
     "SpectralSolution",
     "StabilityReport",
@@ -89,8 +88,6 @@ __all__ = [
     "lower_phase_tail",
     "marginal_tail",
     "phase_stationary",
-    "ratio_chain",
-    "rationalized_zero_poly",
     "simulate",
     "solve_truncated",
 ]

@@ -10,17 +10,19 @@ phase-(c-1) density transform:
 * BRANCH_ONLY     - no zero in (0, alpha1]: alpha* = alpha1 and
                     density ~ C * exp(-alpha* x) * x^(-3/2).
 
-All prefactors are computed from the folded identity.  The boundary masses
-enter it linearly; kernel_boundary finds them from the same identity, as
-the masses that make the transform numerator vanish at the c-1 zeros of
-the folded coefficient on the negative axis, plus the stationary mean
-drift.  No truncation is involved.  Each case's constant is a derivative
-at alpha* of an evaluator the zero search or the identity already has: of
-the deflated coefficient in alpha (POLE), of the folded coefficient in z
-(POLE_AT_BRANCH) and of the continuation ratio in z (BRANCH_ONLY).  All
-three are taken by one complex step (_derivative).  Per-phase prefactors
-come from exact coefficient extraction of the folded-coefficient/kernel
-ratio, whose value at z = 0 is exactly 1, anchoring phase c-1.
+All prefactors are computed from the folded identity: the phase-(c-1)
+transform is -N / f, f the folded coefficient and N a numerator linear in
+the boundary masses, which numerator_value takes from the null vector of
+the draining-phase chain in O(c) steps.  kernel_boundary finds the masses
+from the same identity, as those that make N vanish at the c-1 zeros of
+f on the negative axis, plus the stationary mean drift.  No truncation is
+involved.  Each case's constant is a derivative at alpha* of an evaluator
+the zero search or the identity already has: of the deflated coefficient
+in alpha (POLE), of the folded coefficient in z (POLE_AT_BRANCH) and of
+the continuation ratio in z (BRANCH_ONLY).  All three are taken by one
+complex step (_derivative).  Per-phase prefactors come from exact
+coefficient extraction of the folded-coefficient/kernel ratio, whose value
+at z = 0 is exactly 1, anchoring phase c-1.
 """
 
 from __future__ import annotations
@@ -34,22 +36,20 @@ import numpy as np
 
 from .cfrac import (
     BoundaryVector,
-    boundary_gf,
     checked_boundary,
     density_coeff_reduced,
-    forcing_reduced,
     ratio_chain_value,
     ratio_chain_values,
 )
 from .errors import AssumptionViolatedError, FluidTailError
-from .kernel import boundary_coeff, branch_large, branch_points, branch_small, kernel_discriminant
+from .kernel import branch_large, branch_points, branch_small, kernel_discriminant
 from .model import ModelParams, phase_stationary, require_stable
-from .roots import CoeffZero, _deflated, find_coeff_zero, growing_zeros
+from .roots import CoeffZero, _deflated, find_coeff_zero, growing_zeros, pivot_weights
 
 
-# kernel boundary masses or a pole constant with a larger relative error
-# estimate are refused; their share of a prefactor's error would near
-# validate's 2% tolerance
+# kernel boundary masses, a transform numerator or a pole constant with a
+# larger relative error estimate are refused; their share of a prefactor's
+# error would near validate's 2% tolerance
 _MAX_RTOL = 1e-3
 _EPS = float(np.finfo(float).eps)
 
@@ -76,19 +76,75 @@ def classify(params: ModelParams, zero: CoeffZero) -> tuple:
     return TailCase.POLE, zero.alpha
 
 
+def _numerator_terms(params: ModelParams, boundary: BoundaryVector, alpha, z) -> tuple:
+    """The four terms whose sum is the transform numerator N(alpha, z), alpha >= 0.
+
+    Let Q_z be the generator's block on the draining phases 0..c-1 with the
+    rate lam from phase c-1 to phase c put back on the diagonal as lam z,
+    R = diag(i - c) and p the boundary masses.  The chain's null vector u,
+    u_0 = 1 and u_{i+1} / u_i = den_i / lam (den_i the pivots of
+    roots.pivot_weights), zeroes rows 0..c-2 of (Q_z + alpha R) u, and
+    folding the transform identity down the chain gives
+    N u_{c-1} / z^c = u . Q_z^T p.  With rho = row c-1 of (Q_z + alpha R) u,
+
+        N = z^c [p_{c-1} rho - alpha sum_i (i-c) u_i p_i] / u_{c-1}
+
+    for every z, on the kernel curve or off it.  Divided by u_{c-1}, the u_i
+    are products of factors lam / den_i in (0, 1], and
+    rho / u_{c-1} = lam z - lam - alpha (1 + (c-1) mu e_{c-2} / den_{c-2}).
+    The terms returned are z^c p_{c-1} times the three terms of that, and
+    the sum, whose terms all have one sign.
+    """
+    c, lam, mu = params.c, params.lam, params.mu
+    p = boundary.masses
+    weights = pivot_weights(params, alpha)
+    v, drain = [1.0], 1.0   # v[k] = u_{c-1-k} / u_{c-1}
+    for e in reversed(weights):
+        v.append(v[-1] * lam / (lam + alpha * e))
+    if weights:
+        e = weights[-1]
+        drain += (c - 1) * mu * e / (lam + alpha * e)
+    zc = z ** c
+    top = zc * p[c - 1]
+    s = sum((c - i) * v[c - 1 - i] * p[i] for i in range(c))
+    return top * lam * z, -top * lam, -top * alpha * drain, alpha * zc * s
+
+
 def numerator_value(params: ModelParams, boundary: BoundaryVector, alpha, z):
-    """boundary_coeff(z)*gf(z) + forcing(alpha, z): the transform numerator."""
-    return (
-        boundary_coeff(params, z) * boundary_gf(params, boundary, z)
-        + forcing_reduced(params, boundary, alpha, z)
-    )
+    """The transform numerator N(alpha, z) at alpha >= 0, from the chain's null vector.
+
+    The phase-(c-1) density transform is -N / density_coeff_reduced on the
+    small branch (transform_continuation); _numerator_terms gives the
+    formula.  N is linear in the boundary masses, and a complex z or alpha
+    is carried through, for complex-step derivatives.
+    """
+    return sum(_numerator_terms(params, boundary, alpha, z))
+
+
+def _numerator_rounding(params: ModelParams, boundary: BoundaryVector, alpha: float) -> float:
+    """Relative rounding error estimate of N on the small branch at alpha.
+
+    10 eps times the condition of the sum, the terms' absolute values over
+    |N|.  An estimate of _MAX_RTOL or more raises FluidTailError: N is then
+    lost to cancellation.
+    """
+    z = complex(branch_small(params, alpha)).real
+    terms = _numerator_terms(params, boundary, alpha, z)
+    rel_err = 10.0 * _EPS * sum(abs(t) for t in terms) / abs(sum(terms))
+    if not rel_err < _MAX_RTOL:
+        raise FluidTailError(
+            f"transform numerator lost to rounding: relative error estimate "
+            f"{rel_err:.2g} at alpha={alpha} is not below {_MAX_RTOL:g}"
+        )
+    return rel_err
 
 
 def transform_continuation(params: ModelParams, boundary: BoundaryVector, alpha):
     """Analytic continuation of the phase-(c-1) density transform.
 
-    Valid off the cut wherever the folded coefficient is nonzero; this is
-    what the asymptotic constants are limits of.
+    Valid at alpha >= 0 off the cut (numerator_value) wherever the folded
+    coefficient is nonzero; this is what the asymptotic constants are
+    limits of.
     """
     z = branch_small(params, alpha)
     return -numerator_value(params, boundary, alpha, z) / density_coeff_reduced(
@@ -352,7 +408,7 @@ def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> Boundar
 
     At z = z_tilde the level variable drops out (alpha(z_tilde) = 0) and the
     phase-(c-1) transform at zero is xi_{c-1} minus the boundary mass, known
-    in closed form.
+    in closed form; the numerator is numerator_value at (0, z_tilde).
     """
     c, lam, mu = params.c, params.lam, params.mu
     zt = c * mu / lam
@@ -360,7 +416,7 @@ def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> Boundar
     phi0 = xi.prob(c - 1) - boundary.masses[c - 1]
     num = (
         complex(density_coeff_reduced(params, 0.0, zt)).real * phi0
-        + complex(forcing_reduced(params, boundary, 0.0, zt)).real
+        + complex(numerator_value(params, boundary, 0.0, zt)).real
     )
     d = num / (lam * (zt - 1.0))
     return BoundaryMassTail(d_ztilde=d, z_tilde=zt, ratio=1.0 / zt, alpha_at_pole=0.0)
@@ -370,23 +426,18 @@ def kernel_boundary(params: ModelParams) -> tuple:
     """Boundary masses Pi_i(0), i < c, from the kernel identity alone.
 
     Returns (BoundaryVector with source "kernel", relative error estimate).
-    The transform numerator is linear in the masses p_i = Pi_i(0) and must
+    The transform numerator N is linear in the masses p_i = Pi_i(0) and must
     vanish at each of the c-1 growing zeros a < 0 of the folded coefficient
-    (roots.growing_zeros).  Let Q_z be the generator's block on the draining
-    phases 0..c-1 with the rate lam from phase c-1 to phase c put back on
-    the diagonal as lam z, z = branch_small(a), and R = diag(i - c).  The
-    first c-1 entries of Q_z^T p are the source constants
-    (cfrac.source_constants), and the numerator times
-    D_{c-2} / (lam^(c-1) z^c), D the chain denominators, is u . Q_z^T p for
-    the vector u_0 = 1,
+    (roots.growing_zeros).  With Q_z, R and the chain's null vector u as in
+    _numerator_terms, z = branch_small(a) and u in its pole-free form
 
-        lam u_{i+1} = ((c-i) a + lam + i mu) u_i - i mu u_{i-1},
+        u_0 = 1,  lam u_{i+1} = ((c-i) a + lam + i mu) u_i - i mu u_{i-1},
 
-    that is u_i = D_{i-1} / lam^i.  Rows 0..c-2 of (Q_z + a R) u = 0 hold
-    by construction and row c-1 holds exactly where f vanishes, so there
-    u . Q_z^T p = -a sum_i (i-c) u_i p_i.  Each growing zero thus gives the
-    R-orthogonality row sum_i (i-c) u_i p_i = 0, and the zero mode (a = 0,
-    u = 1) gives sum_i (i-c) p_i = mean drift; for c = 1 that alone reads
+    N u_{c-1} / z^c is u . Q_z^T p.  Row c-1 of (Q_z + a R) u vanishes
+    exactly where f does, so there u . Q_z^T p = -a sum_i (i-c) u_i p_i.
+    Each growing zero thus gives the R-orthogonality row
+    sum_i (i-c) u_i p_i = 0, and the zero mode (a = 0, u = 1) gives
+    sum_i (i-c) p_i = mean drift; for c = 1 that alone reads
     Pi_0(0) = -mean drift.  As in spectral.solve_truncated the c x c system
     is solved for t_i = Pi_i(0) / xi_i, after scaling each row to unit
     max-norm.  The error estimate is the system's 1-norm condition number
@@ -425,7 +476,8 @@ def analyze(params: ModelParams) -> TailReport:
 
     The boundary masses, which every prefactor needs, come from
     kernel_boundary.  The error bar of the transform constant adds the
-    masses' relative error estimate to the rounding bar of the pole case.
+    masses' relative error estimate and the numerator's rounding
+    (_numerator_rounding) to the rounding bar of the pole case.
     """
     require_stable(params)
     zero = find_coeff_zero(params)
@@ -437,7 +489,8 @@ def analyze(params: ModelParams) -> TailReport:
         c_const, rounding_err = constant_pole_at_branch(params, boundary), 0.0
     else:
         c_const, rounding_err = constant_branch_only(params, boundary), 0.0
-    c_err = rounding_err + boundary_err * abs(c_const)
+    n_err = _numerator_rounding(params, boundary, alpha_star)
+    c_err = rounding_err + (n_err + boundary_err) * abs(c_const)
 
     pref, power = density_prefactor(case, c_const)
     z0 = complex(branch_small(params, alpha_star)).real

@@ -161,6 +161,14 @@ def cmd_validate(args) -> int:
     oracle_masses = sol.boundary_masses[: params.c]
     mass_err = float(np.max(np.abs(kernel_masses - oracle_masses) / oracle_masses))
     tol_mass = 1e-10 + 100.0 * (params.lam / (params.c * params.mu)) ** args.truncation
+    # the whole phase-(c-1) transform, masses and numerator, against the
+    # oracle's below the decay rate; the same truncation error bounds it
+    transform_err = 0.0
+    for frac in (0.1, 0.5, 0.9):
+        a = frac * report.alpha_star
+        phi = float(sol.transform(a)[params.c - 1])
+        analytic = asymptotics.transform_continuation(params, report.boundary, a).real
+        transform_err = max(transform_err, abs(analytic - phi) / abs(phi))
     checks = {
         "spectral_rate": {"value": spectral_rate_err, "tol": tol_eig,
                           "pass": spectral_rate_err < tol_eig},
@@ -170,6 +178,8 @@ def cmd_validate(args) -> int:
                              "pass": bool(residue_err < 1e-5 and report.d_ztilde > 0.0)},
         "boundary_masses": {"value": mass_err, "tol": tol_mass,
                             "pass": mass_err < tol_mass},
+        "transform": {"value": transform_err, "tol": tol_mass,
+                      "pass": transform_err < tol_mass},
     }
     prefactor_fit = None
     if report.case is TailCase.POLE:

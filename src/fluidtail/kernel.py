@@ -4,9 +4,10 @@ The stationary transforms are coupled through the bivariate quadratic
 
     K(alpha, z) = -lam*z**2 + (-alpha*r + lam + c*mu)*z - c*mu,
 
-together with three fixed coefficient polynomials.  For each alpha off the
-discriminant cut, K(alpha, .) has a small root (modulus) and a large root;
-only the small root enters the analytic continuation of the transforms.
+together with the coefficient of the lowest free density transform
+(density_coeff).  For each alpha off the discriminant cut, K(alpha, .) has
+a small root (modulus) and a large root; only the small root enters the
+analytic continuation of the transforms.
 """
 
 from __future__ import annotations
@@ -131,21 +132,9 @@ def alpha_of_z(params: ModelParams, z: complex) -> complex:
     return (-lam * z * z + (lam + c * mu) * z - c * mu) / (z * r)
 
 
-def mass_coeff(params: ModelParams, z: complex) -> complex:
-    """Coefficient of the lowest boundary mass: mu*z^c - c*mu*z^(c-1)."""
-    c, mu = params.c, params.mu
-    return mu * z ** c - c * mu * z ** (c - 1)
-
-
 def density_coeff(params: ModelParams, alpha: complex, z: complex) -> complex:
     """Coefficient of the lowest free density transform:
     (mu - alpha*r - alpha)*z^c - c*mu*z^(c-1)."""
     c, mu, r = params.c, params.mu, params.r
     return (mu - alpha * r - alpha) * z ** c - c * mu * z ** (c - 1)
 
-
-def boundary_coeff(params: ModelParams, z: complex) -> complex:
-    """Coefficient of the boundary generating function:
-    lam*z^2 - (lam + c*mu)*z + c*mu."""
-    c, lam, mu = params.c, params.lam, params.mu
-    return lam * z * z - (lam + c * mu) * z + c * mu

@@ -5,9 +5,9 @@ branch_small(alpha)).  The candidate decay rate is its unique zero inside
 (0, alpha1].  There f = alpha z^(c-1) d(alpha) with z the small branch and
 d a deflated coefficient that has neither a pole nor a cancellation at 0;
 d(0) < 0, so the sign of d at alpha1 tells whether the zero is inside, at
-alpha1 or absent, and Brent's method finds an inside zero.  Rationalizing f
-against its large-branch twin gives a real polynomial whose roots contain
-every zero of either factor; it is kept for the published-root checks.
+alpha1 or absent, and Brent's method finds an inside zero.  d is built from
+the continued fraction's pivots (pivot_weights), which the transform
+numerator (asymptotics.numerator_value) shares.
 
 On the negative axis f has c-1 more zeros, the negated growing eigenvalues
 of the stationary system, where the boundary masses are pinned down
@@ -21,11 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .cfrac import BoundaryVector, boundary_gf, forcing_reduced, ratio_chain
 from .errors import AssumptionViolatedError, FluidTailError
-from .kernel import at_double_root, boundary_coeff, branch_points, branch_small, branch_small_real
+from .kernel import at_double_root, branch_points, branch_small_real
 from .model import ModelParams, require_stable
 
 # |d| below this (times its term scale) counts as a zero
@@ -48,30 +46,6 @@ class CoeffZero:
     scale: float                # max |f| over (0, alpha1), for reporting
 
 
-def rationalized_zero_poly(params: ModelParams) -> np.ndarray:
-    """Real polynomial (ascending coefficients) divisible by both branch factors.
-
-    Writing the folded coefficient as z^(c-1) * (P(alpha) z - c mu) with
-    P = lam*A_{c-2} + mu - alpha*(r+1), the product of the two branch factors
-    is proportional to P^2 - P*b + c*lam*mu (b the kernel's linear-in-z
-    coefficient); clearing the chain denominator D gives the polynomial
-
-        G = (P D)^2 - (P D) * D * b + c*lam*mu * D^2.
-
-    alpha = 0 is always a root (the small branch passes through z = 1).
-    """
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    if c == 1:
-        num, den = np.array([0.0]), np.array([1.0])
-    else:
-        last = ratio_chain(params)[-1]
-        num, den = np.asarray(last.num), np.asarray(last.den)
-    b = np.array([lam + c * mu, -r])
-    pd = npoly.polyadd(lam * num, npoly.polymul(np.array([mu, -(r + 1.0)]), den))
-    g = npoly.polysub(npoly.polymul(pd, pd), npoly.polymul(npoly.polymul(pd, den), b))
-    return npoly.polyadd(g, c * lam * mu * npoly.polymul(den, den))
-
-
 def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
     """f on a 101-point grid on (0, alpha1): the reporting scale and zero count.
 
@@ -88,13 +62,29 @@ def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
     return (lam * a_last + mu - grid * r - grid) * z ** c - c * mu * z ** (c - 1)
 
 
+def pivot_weights(params: ModelParams, alpha) -> list:
+    """Weights e_0..e_{c-2} of the chain pivots den_i = lam + alpha e_i.
+
+    den_i is the denominator (c-i) alpha + lam + i mu - lam A_{i-1} of the
+    continued fraction's recursion (cfrac.ratio_chain_values), rewritten
+    without its cancellation at small alpha: e_0 = c and
+    e_i = (c-i) + i mu e_{i-1} / den_{i-1}, all positive for alpha >= 0.
+    Empty for c = 1.  A complex alpha is carried through.
+    """
+    c, lam, mu = params.c, params.lam, params.mu
+    weights = [float(c)] if c > 1 else []
+    for i in range(1, c - 1):
+        e = weights[-1]
+        weights.append((c - i) + i * mu * e / (lam + alpha * e))
+    return weights
+
+
 def _deflated(params: ModelParams, alpha: float) -> tuple:
     """(d, term scale of d) at alpha in [0, alpha1], with f = alpha z^(c-1) d.
 
-    The chain pivots are den_i = lam + alpha e_i with e_0 = c and
-    e_i = (c-i) + i mu e_{i-1} / den_{i-1}, all positive for alpha >= 0, and
-    the kernel gives z - 1 = alpha r z / (c mu - lam z).  Dividing alpha out
-    of f leaves
+    With the chain pivots den_i = lam + alpha e_i of pivot_weights and the
+    kernel's z - 1 = alpha r z / (c mu - lam z), dividing alpha out of f
+    leaves
 
         d = z [c mu r / (c mu - lam z) - (r+1) - (c-1) mu e_{c-2} / den_{c-2}]
 
@@ -107,9 +97,7 @@ def _deflated(params: ModelParams, alpha: float) -> tuple:
     drift = c * mu * r / (c * mu - lam * z)
     chain = 0.0
     if c > 1:
-        e = float(c)
-        for i in range(1, c - 1):
-            e = (c - i) + i * mu * e / (lam + alpha * e)
+        e = pivot_weights(params, alpha)[-1]
         chain = (c - 1) * mu * e / (lam + alpha * e)
     return z * (drift - (r + 1.0) - chain), z * (drift + (r + 1.0) + chain)
 
@@ -162,7 +150,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
 def _folded_count(params: ModelParams, alpha: float) -> tuple:
     """(Sturm count, pole-free value) of the folded coefficient at alpha < 0.
 
-    With D_i the denominator polynomial of ratio_chain's A_i (D_{-1} = 1),
+    With D_i the denominator polynomial of the chain's A_i (D_{-1} = 1),
     the recursion denominators of ratio_chain_values are the pivots
     den_i = D_i / D_{i-1}, and g = f / z^(c-1) closes them at phase c-1.
     The count is the number of negative den_i plus one if g > 0.  Across a
@@ -280,32 +268,3 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
         alpha=alpha, at_branch_point=at_branch,
         all_roots=np.array([alpha]), residual=abs(d) / size, scale=scale,
     )
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Numerator check at the candidate zero: nonzero means a genuine pole."""
-
-    value: float     # boundary_coeff*gf + forcing, evaluated at the zero
-    scale: float
-    degenerate: bool  # |value| below tolerance: the pole cancels
-
-
-def assumption_report(
-    params: ModelParams, zero: CoeffZero, boundary: BoundaryVector
-) -> AssumptionReport:
-    """Evaluate the transform numerator at the candidate zero.
-
-    The candidate is a true singularity of the phase-(c-1) transform only if
-    this combination is nonzero there; a vanishing value is flagged (it means
-    the boundary masses conspire to cancel the pole).
-    """
-    if zero.alpha is None:
-        raise ValueError("no zero to check; run find_coeff_zero first")
-    a = zero.alpha
-    z = branch_small(params, a)
-    n1 = boundary_coeff(params, z) * boundary_gf(params, boundary, z)
-    n2 = forcing_reduced(params, boundary, a, z)
-    val = complex(n1 + n2).real
-    scale = max(abs(complex(n1)), abs(complex(n2)), 1e-300)
-    return AssumptionReport(value=val, scale=scale, degenerate=abs(val) < _ZERO_TOL * scale)

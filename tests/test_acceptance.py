@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from _forcing_oracle import ratio_chain, rationalized_zero_poly
 from conftest import CASE_I, CASE_II, CASE_III, random_stable_c1, random_stable_params
 from fluidtail.asymptotics import (
     TailCase,
@@ -30,7 +31,7 @@ from fluidtail.kernel import (
     kernel,
 )
 from fluidtail.model import ModelParams, drift_certificate, is_stable
-from fluidtail.roots import find_coeff_zero, rationalized_zero_poly
+from fluidtail.roots import find_coeff_zero
 from fluidtail.simulate import SimConfig, default_window, fit_tail, simulate
 from fluidtail.spectral import fit_decay, solve_truncated
 from test_roots import corrected_cubic_c2, printed_cubic_c2
@@ -275,8 +276,6 @@ def test_criterion_7_invariant_suites(rng):
         assert np.all(vals > 1.0) and np.all(vals < math.sqrt(p.c * p.mu / p.lam))
 
     # chain range/monotonicity: >= 1000 evaluations
-    from fluidtail.cfrac import ratio_chain
-
     n_chain = 0
     while n_chain < 1000:
         p = random_stable_params(rng, c_choices=(2, 3, 4))

@@ -21,9 +21,10 @@ from fluidtail.asymptotics import (
     marginal_tail,
     transform_continuation,
 )
-from fluidtail.cfrac import BoundaryVector, boundary_gf, forcing_reduced
+from _forcing_oracle import numerator_terms
+from fluidtail.cfrac import BoundaryVector
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
-from fluidtail.kernel import boundary_coeff, branch_points, branch_small, kernel
+from fluidtail.kernel import branch_points, branch_small, kernel
 from fluidtail.model import ModelParams, phase_stationary
 from fluidtail.roots import find_coeff_zero, growing_zeros
 
@@ -132,7 +133,7 @@ def _mp_pole_constant(p, masses, alpha_guess):
 
     f is the folded coefficient on the small branch, differentiated by hand,
     and N the transform numerator, both written out from their definitions
-    (cfrac, kernel) for the float parameters and the given float masses.
+    (cfrac, _forcing_oracle) for the float parameters and the given float masses.
     """
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
@@ -216,9 +217,12 @@ def test_pole_constant_near_critical_c1():
 
 
 def test_pole_constant_error_bar_covers_reference(rng):
-    # the reference takes the same float masses and its own zero alpha*
-    tuples = [CASE_I, CASE_I_C2]
-    while len(tuples) < 62:
+    # the reference takes the same float masses and its own zero alpha*; the
+    # large-r tuple lost digits to the source constants' cancellation when N
+    # was built from the forcing
+    tuples = [CASE_I, CASE_I_C2,
+              ModelParams(c=6, lam=0.13509208428490757, mu=2.855512929091143, r=3.976e11)]
+    while len(tuples) < 63:
         p = random_stable_params(rng, c_choices=range(1, 9))
         zero = find_coeff_zero(p)
         if zero.alpha is not None and not zero.at_branch_point:
@@ -352,6 +356,15 @@ def test_boundary_mass_tail_positive_on_grid(rng):
         )
 
 
+def test_boundary_residue_low_load_c8():
+    # the residue constant is xi_{c-1} z_tilde^c; at c = 8 and load 0.0034 the
+    # forcing route missed it by 7e-5 relative, beyond validate's 1e-5
+    p = ModelParams(c=8, lam=8 * 0.003358656478424456, mu=1.0, r=1.0)
+    zt = p.c * p.mu / p.lam
+    expected = phase_stationary(p).prob(p.c - 1) * zt ** p.c
+    assert analyze(p).d_ztilde == pytest.approx(expected, rel=1e-5)
+
+
 def test_analyze_error_bars(report_case1):
     assert report_case1.c_const_err < 1e-4 * abs(report_case1.c_const) + 1e-12
 
@@ -433,14 +446,13 @@ def test_kernel_masses_c1_closed_form(rng):
 
 
 def test_numerator_vanishes_at_growing_zeros(rng):
-    # the R-orthogonality rows of kernel_boundary against the forcing code itself
+    # the R-orthogonality rows of kernel_boundary against the written forcing forms
     tuples = [CASE_III, CASE_I_C2, ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)]
     tuples += [random_stable_params(rng, c_choices=range(2, 6)) for _ in range(10)]
     for p in tuples:
         boundary, _ = kernel_boundary(p)
         for a in growing_zeros(p):
             z = branch_small(p, a).real
-            terms = [boundary_coeff(p, z) * boundary_gf(p, boundary, z),
-                     forcing_reduced(p, boundary, a, z)]
+            terms = numerator_terms(p, boundary, a, z)
             scale = max(abs(complex(t)) for t in terms)
             assert abs(complex(sum(terms))) < 1e-9 * scale

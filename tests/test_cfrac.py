@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_I_C2, CASE_III, random_stable_params
-from fluidtail.asymptotics import _derivative
-from fluidtail.cfrac import (
-    BoundaryVector,
+from _forcing_oracle import (
     boundary_gf,
-    density_coeff_reduced,
-    forcing_reduced,
-    lower_phase_chain,
+    chain_offset,
+    forcing,
+    numerator_terms,
     ratio_chain,
-    ratio_chain_value,
     source_constants,
 )
+from conftest import CASE_I_C2, CASE_III, random_stable_params
+from fluidtail.asymptotics import _derivative, kernel_boundary, numerator_value
+from fluidtail.cfrac import BoundaryVector, density_coeff_reduced, ratio_chain_value
 from fluidtail.errors import PoleError
-from fluidtail.kernel import density_coeff
+from fluidtail.kernel import branch_points, branch_small, density_coeff
 from fluidtail.model import ModelParams
+from fluidtail.roots import find_coeff_zero
 
 
 def test_chain_first_link_c2():
@@ -139,9 +139,9 @@ def test_forcing_c1_and_linearity():
     p = ModelParams(c=1, lam=1.0, mu=3.0, r=1.0)
     b = BoundaryVector(masses=(0.25,))
     for z in (1.3, 2.0):
-        assert forcing_reduced(p, b, 0.4, z) == pytest.approx(3.0 * (z - 1.0) * 0.25)
+        assert forcing(p, b, 0.4, z) == pytest.approx(3.0 * (z - 1.0) * 0.25)
     zero = BoundaryVector(masses=(0.0,))
-    assert forcing_reduced(p, zero, 0.4, 1.7) == 0.0
+    assert forcing(p, zero, 0.4, 1.7) == 0.0
 
 
 def test_forcing_c2_closed_form():
@@ -154,7 +154,7 @@ def test_forcing_c2_closed_form():
             + p.lam * z ** 2 * b[0]
             + p.lam * z ** 2 * (p.mu * b[1] - p.lam * b[0]) / (2 * alpha + p.lam)
         )
-        assert forcing_reduced(p, b, alpha, z) == pytest.approx(expected, rel=1e-13)
+        assert forcing(p, b, alpha, z) == pytest.approx(expected, rel=1e-13)
 
 
 def test_pole_error_at_chain_pole():
@@ -166,21 +166,22 @@ def test_pole_error_at_chain_pole():
 
 
 def test_lower_phase_chain_unroll_c2():
+    # one step of the downward chain: phi_0 = offset_0 + A_0 phi_1
     p = ModelParams(c=2, lam=1.0, mu=3.0, r=1.0)
     b = BoundaryVector(masses=(0.5, 0.1))
-    (link,) = lower_phase_chain(p, b)
+    (link,) = ratio_chain(p)
     k0 = p.mu * b[1] - p.lam * b[0]
     for alpha in (0.1, 0.7):
         a0 = p.mu / (2 * alpha + p.lam)
-        assert link.ratio(alpha) == pytest.approx(a0, rel=1e-13)
-        assert link.offset(alpha) == pytest.approx(k0 * a0 / p.mu, rel=1e-13)
+        assert link(alpha) == pytest.approx(a0, rel=1e-13)
+        assert chain_offset(p, b, alpha, 0) == pytest.approx(k0 * a0 / p.mu, rel=1e-13)
 
 
 def test_lower_phase_chain_zero_boundary(rng):
     p = random_stable_params(rng, c_choices=(3,))
     zero = BoundaryVector(masses=(0.0,) * 3)
-    for link in lower_phase_chain(p, zero):
-        assert link.offset(0.5) == 0.0
+    for phase in range(p.c - 1):
+        assert chain_offset(p, zero, 0.5, phase) == 0.0
 
 
 def test_transform_identity_against_oracle(sol_case1_c2):
@@ -188,16 +189,32 @@ def test_transform_identity_against_oracle(sol_case1_c2):
     # phi_i(alpha) = offset_i(alpha) + A_i(alpha) phi_{i+1}(alpha)
     p = CASE_I_C2
     boundary = sol_case1_c2.boundary_vector()
-    links = lower_phase_chain(p, boundary)
     for alpha in (0.01, 0.03, 0.05):
         phi = sol_case1_c2.transform(alpha)
-        for link in links:
-            lhs = phi[link.phase]
-            rhs = link.offset(alpha) + link.ratio(alpha) * phi[link.phase + 1]
-            assert lhs == pytest.approx(rhs, rel=5e-7)
+        for phase, link in enumerate(ratio_chain(p)):
+            rhs = chain_offset(p, boundary, alpha, phase) + link(alpha) * phi[phase + 1]
+            assert phi[phase] == pytest.approx(rhs, rel=5e-7)
 
 
 def test_boundary_gf_is_monomial():
     p = ModelParams(c=3, lam=1.0, mu=1.0, r=1.0)
     b = BoundaryVector(masses=(0.3, 0.2, 0.1))
     assert boundary_gf(p, b, 2.0) == pytest.approx(0.1 * 4.0)
+
+
+def test_numerator_matches_written_forcing(rng):
+    # the null-vector numerator against boundary term + forcing, on the
+    # small branch and off the kernel curve, at fractions of the decay rate
+    tuples = [CASE_I_C2, CASE_III, ModelParams(c=1, lam=1.0, mu=3.0, r=1.0),
+              ModelParams(c=2, lam=1.0, mu=3.0, r=1.0), ModelParams(c=3, lam=1.0, mu=2.0, r=1.0)]
+    tuples += [random_stable_params(rng, c_choices=(2, 3, 4, 6)) for _ in range(20)]
+    for p in tuples:
+        boundary, _ = kernel_boundary(p)
+        zero = find_coeff_zero(p)
+        alpha_star = branch_points(p).alpha1 if zero.alpha is None else zero.alpha
+        for alpha in np.array([0.1, 0.5, 0.9, 1.0]) * alpha_star:
+            z = complex(branch_small(p, alpha)).real
+            for w in (z, 1.37 * z, 0.6):
+                terms = numerator_terms(p, boundary, alpha, w)
+                scale = max(abs(t) for t in terms)
+                assert abs(numerator_value(p, boundary, alpha, w) - sum(terms)) <= 1e-13 * scale

@@ -119,6 +119,20 @@ def test_validate_and_analyze_agree_on_prefactor_error(capsys):
     assert validated["error"] == pytest.approx(rel * validated["value"], rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["II", "III"])
+def test_validate_checks_transform_without_a_pole(capsys, case):
+    # Cases II and III have no prefactor fit; the transform row checks the
+    # masses and the numerator against the oracle below alpha*
+    _, out, err = run_cli(
+        capsys, "validate", *REFERENCE_ARGS[case], "--truncation", "200",
+        "--horizon", "50000", "--samples", "300000", "--seed", "1",
+    )
+    checks = json.loads(out)["checks"]
+    assert "prefactor" not in checks
+    assert checks["transform"]["pass"] and checks["transform"]["value"] < 1e-12
+    assert "transform" in err
+
+
 def test_solve_json_and_csv(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "solve", "--c", "1", "--lambda", "1", "--mu", "3", "--r", "1",

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from _forcing_oracle import boundary_coeff, mass_coeff
 from conftest import CASE_I, random_stable_c1, random_stable_params
 from fluidtail.errors import BranchCutError, PoleError
 from fluidtail.kernel import (
     alpha_of_z,
-    boundary_coeff,
     branch_large,
     branch_points,
     branch_small,
     density_coeff,
     kernel,
     kernel_discriminant,
-    mass_coeff,
 )
 from fluidtail.model import ModelParams
 

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from _forcing_oracle import rationalized_zero_poly
 from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_c1, random_stable_params
 from fluidtail import roots
-from fluidtail.cfrac import BoundaryVector
-from fluidtail.asymptotics import TailCase, analyze
+from fluidtail.asymptotics import TailCase, analyze, numerator_value
 from fluidtail.cfrac import density_coeff_reduced
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
 from fluidtail.kernel import branch_large, branch_points, branch_small
 from fluidtail.model import ModelParams
-from fluidtail.roots import assumption_report, find_coeff_zero, growing_zeros, rationalized_zero_poly
+from fluidtail.roots import find_coeff_zero, growing_zeros
 
 
 def corrected_cubic_c2(p):
@@ -248,41 +248,34 @@ def test_filtering_soundness(rng):
         assert large > 1e-4 * zero.scale
 
 
-def test_assumption_report_c1_closed_form(sol_case1):
+def test_numerator_c1_closed_form(sol_case1):
     # N = -lam Z0 H2(Z0) P0 / (mu - lam Z0), strictly positive
     p = CASE_I
     zero = find_coeff_zero(p)
     boundary = sol_case1.boundary_vector()
-    rep = assumption_report(p, zero, boundary)
     z0 = complex(branch_small(p, zero.alpha)).real
+    value = numerator_value(p, boundary, zero.alpha, z0)
     h2 = p.lam * z0 ** 2 - (p.lam + p.mu) * z0 + p.mu
     expected = -p.lam * z0 * h2 * boundary[0] / (p.mu - p.lam * z0)
-    assert rep.value == pytest.approx(expected, rel=1e-10)
-    assert rep.value > 0.0 and not rep.degenerate
+    assert value == pytest.approx(expected, rel=1e-10)
+    assert value > 0.0
 
 
-def test_assumption_report_c2_closed_form(sol_case1_c2):
+def test_numerator_c2_closed_form(sol_case1_c2):
     # corrected analogue of the published c=2 form:
     # N = Z0^2 [lam (Z0-1) P1 + 2a (lam P0 - mu P1)/(2a+lam)]
     p = CASE_I_C2
     zero = find_coeff_zero(p)
     boundary = sol_case1_c2.boundary_vector()
-    rep = assumption_report(p, zero, boundary)
     a = zero.alpha
     z0 = complex(branch_small(p, a)).real
+    value = numerator_value(p, boundary, a, z0)
     expected = z0 ** 2 * (
         p.lam * (z0 - 1.0) * boundary[1]
         + 2 * a * (p.lam * boundary[0] - p.mu * boundary[1]) / (2 * a + p.lam)
     )
-    assert rep.value == pytest.approx(expected, rel=1e-10)
-    assert rep.value > 0.0 and not rep.degenerate
-
-
-def test_assumption_report_degenerate_flag():
-    p = CASE_I
-    zero = find_coeff_zero(p)
-    rep = assumption_report(p, zero, BoundaryVector(masses=(0.0,)))
-    assert rep.degenerate
+    assert value == pytest.approx(expected, rel=1e-10)
+    assert value > 0.0
 
 
 def test_gtilde_convexity(rng):
