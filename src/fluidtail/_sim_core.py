@@ -3,17 +3,15 @@
 `advance` moves one sample path of the (phase, level) process through one
 chunk of pre-drawn randomness.  Event k of the chunk waits `exps[k] / rate`
 and jumps up iff `us[k] * rate < lam`, where `rate = lam + min(phase, c) mu`;
-the event cut by the horizon is not consumed.  Event times, levels, samples
-and the occupation times are whole-array operations over sub-blocks of at
-most `_BLOCK` events.  Once the horizon is in sight, a sub-block is sized
-from the time left and the event rate so far, so that few events are built
-past the horizon.
+the event cut by the horizon is not consumed.  Event times, levels and
+samples are whole-array operations over sub-blocks of at most `_BLOCK`
+events.  Once the horizon is in sight, a sub-block is sized from the time
+left and the event rate so far, so that few events are built past the
+horizon.
 
-Events and samples are both in time order, so the bookkeeping locates them
-by ranges, with no search per element: `_sample_events` finds each stride
-sample's event from per-event sample counts (an even-stride guess, checked
-against the samples), and `_occupation` bins each time block's events as
-one slice (`_block_slices`).
+Events and samples are both in time order, so `_sample_events` finds each
+stride sample's event from per-event sample counts (an even-stride guess,
+checked against the samples), with no search per sample.
 
 The phase path is a recursion, `x + 1` if `x < th[k]` else `x - 1`, and
 `_phase_path` computes it exactly with whole-array steps.  The sub-block is
@@ -189,57 +187,8 @@ def _sample_events(ends, ts, stride):
     return np.cumsum(np.bincount(cnt, minlength=m + 1)[:m])
 
 
-def _block_slices(starts, block_len, n_blocks):
-    """(blocks, bounds): the events of block `blocks[j]` are `bounds[j]:bounds[j + 1]`.
-
-    Event k belongs to block `int(starts[k] / block_len)`, the last block
-    taking everything later.  `starts` is sorted, so each block's events are
-    one slice; its first event is found by a search on the block's start
-    time, then moved to where the division puts it.
-    """
-    n = starts.shape[0]
-    first = min(int(starts[0] / block_len), n_blocks - 1)
-    last = min(int(starts[-1] / block_len), n_blocks - 1)
-    blocks = range(first, last + 1)
-    cuts = np.searchsorted(starts, np.arange(first + 1, last + 1) * block_len).tolist()
-    for j, b in enumerate(blocks[1:]):
-        k = cuts[j]
-        while k > 0 and starts[k - 1] / block_len >= b:
-            k -= 1
-        while k < n and starts[k] / block_len < b:
-            k += 1
-        cuts[j] = k
-    return blocks, [0, *cuts, n]
-
-
-def _occupation(sojourn, starts, ends, ph, block_len, n_blocks):
-    """Add the time of event `[starts[k], ends[k])` in phase `ph[k]` to `sojourn[block, phase]`.
-
-    Within a block's slice of events (`_block_slices`), those that end past
-    the block's end are a suffix; the rest are binned at once, and the few
-    that cross an edge are split afterwards, in event order.
-    """
-    blocks, bounds = _block_slices(starts, block_len, n_blocks)
-    crossing = []
-    for b, lo, hi in zip(blocks, bounds, bounds[1:]):
-        mid = hi
-        if b < n_blocks - 1:
-            mid = lo + int(np.searchsorted(ends[lo:hi], (b + 1) * block_len, side="right"))
-            crossing.extend((k, b) for k in range(mid, hi))
-        if mid > lo:
-            sojourn[b] += np.bincount(ph[lo:mid], weights=ends[lo:mid] - starts[lo:mid],
-                                      minlength=sojourn.shape[1])
-    for k, b in crossing:
-        left, right, p = float(starts[k]), float(ends[k]), ph[k]
-        while left < right:
-            edge = right if b == n_blocks - 1 else max(min(right, (b + 1) * block_len), left)
-            sojourn[b, p] += edge - left
-            left, b = edge, b + 1
-
-
 def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
-            lam, mu, c, r, exps, us, out_level, out_phase,
-            sojourn, block_len, n_blocks):
+            lam, mu, c, r, exps, us, out_level, out_phase, max_phase):
     """Advance through one chunk of randomness; returns the updated state.
 
     Returns `(phase, level, t, next_sample, n_written, used)`, `used` being
@@ -248,11 +197,8 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
     after the hitting time reads zero, not a negative excursion.  Samples
     are taken every `stride` time units after `warmup`, on a grid that is a
     running sum from `next_sample`, and each is read on its event interval
-    (`_sample_events`); per-phase occupation time is accumulated into
-    consecutive blocks of length `block_len` for variance estimation, one
-    slice of events per block (`_occupation`).
+    (`_sample_events`); phases above `max_phase` are written as `max_phase`.
     """
-    max_phase = sojourn.shape[1] - 1
     rates = lam + np.arange(c + 1) * mu
     used, t0, size = 0, t, _BLOCK
     while used < exps.shape[0] and t < t_end:
@@ -309,8 +255,6 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
             out_phase[n_written:n_written + q - w0] = np.minimum(x[ev], max_phase)
             n_written += q - w0
         next_sample = float(st[due])
-
-        _occupation(sojourn, starts, ends, np.minimum(x, max_phase), block_len, n_blocks)
 
         level = float(levels[-1])
         t = float(ends[-1])

@@ -17,7 +17,7 @@ import numpy as np
 from . import asymptotics
 from .simulate import SimConfig, default_window, fit_tail, simulate, summary_json, survival_csv
 from .asymptotics import TailCase
-from .errors import FluidTailError
+from .errors import FluidTailError, InvalidInputError
 from .model import ModelParams
 
 SCHEMA = 1
@@ -126,6 +126,10 @@ def cmd_validate(args) -> int:
     from . import spectral
 
     params = _params(args)
+    if args.samples < 1:
+        raise InvalidInputError(f"--samples must be at least 1, got {args.samples}")
+    cfg = SimConfig(params=params, horizon=args.horizon, warmup=args.warmup,
+                    seed=args.seed, sample_stride=(args.horizon - args.warmup) / args.samples)
     sol = spectral.solve_truncated(params, args.truncation)
     report = asymptotics.analyze(params)
     s1 = float(sol.eigenvalues[0].real)
@@ -134,9 +138,6 @@ def cmd_validate(args) -> int:
     if tol_eig is None:
         tol_eig = 1e-3 if report.case is TailCase.POLE else 2e-2
 
-    stride = (args.horizon - args.warmup) / args.samples
-    cfg = SimConfig(params=params, horizon=args.horizon, warmup=args.warmup,
-                    seed=args.seed, sample_stride=stride)
     est = simulate(cfg, fit=False)
     s_low = max(1e-3, 1000.0 / est.n_samples)
     window = default_window(est, 5e-2, s_low)

@@ -27,3 +27,7 @@ class AssumptionViolatedError(FluidTailError):
 
 class InsufficientSamplesError(FluidTailError):
     """Too few Monte Carlo samples in the requested fit window."""
+
+
+class InvalidInputError(FluidTailError, ValueError):
+    """A parameter, run setting or option outside its domain."""

@@ -98,7 +98,8 @@ def branch_small_real(params: ModelParams, alpha):
 
     Uses the cancellation-free form 2 c mu / (b + sqrt(disc)) of the small
     root (the product of the roots is c mu / lam).  As in branch_small, a
-    discriminant within _DOUBLE_ROOT_TOL of zero gives the double root.
+    discriminant within _DOUBLE_ROOT_TOL of zero gives the double root, and
+    so does a negative one (_clamped_disc), so the value is always real.
     Negative alpha give values in (0, 1).  A complex alpha a tiny step off
     the real axis is accepted too, for complex-step derivatives.
     """
@@ -112,11 +113,17 @@ def at_double_root(params: ModelParams, alpha: float) -> bool:
 
 
 def _clamped_disc(params: ModelParams, alpha):
-    """(b, disc) of K(alpha, .) for branch_small_real; disc within _DOUBLE_ROOT_TOL of 0 is 0."""
+    """(b, disc) of K(alpha, .) for branch_small_real, disc clamped to 0.
+
+    disc below _DOUBLE_ROOT_TOL of its scale is 0, negative values included:
+    for alpha <= alpha1 the discriminant is not negative, and only the
+    rounding of alpha itself (about c mu eps in b) takes it below zero, by
+    more than the tolerance when b is small.
+    """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     b = -alpha * r + lam + c * mu   # rounded as in branch_small; disc cancels near alpha1
     disc = b * b - 4.0 * c * lam * mu
-    return b, disc * (abs(disc) >= _DOUBLE_ROOT_TOL * abs(b * b + 4.0 * c * lam * mu))
+    return b, disc * (disc.real >= _DOUBLE_ROOT_TOL * abs(b * b + 4.0 * c * lam * mu))
 
 
 def branch_large(params: ModelParams, alpha: complex) -> complex:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateNotFoundError, UnstableModelError
+from .errors import CertificateNotFoundError, InvalidInputError, UnstableModelError
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,12 @@ class ModelParams:
 
     def __post_init__(self):
         if int(self.c) != self.c or self.c < 1:
-            raise ValueError(f"c must be a positive integer, got {self.c!r}")
+            raise InvalidInputError(f"c must be a positive integer, got {self.c!r}")
         object.__setattr__(self, "c", int(self.c))
         for name in ("lam", "mu", "r"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+                raise InvalidInputError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, v)
 
     @property

@@ -12,16 +12,20 @@ the sample path through each chunk of random draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _sim_core
-from .errors import InsufficientSamplesError
+from .errors import InsufficientSamplesError, InvalidInputError
 from .model import ModelParams, require_stable
 
 _CHUNK = 1 << 20  # random numbers drawn per kernel call
 _PIECE = 1 << 16  # samples binned at once
+N_BLOCKS = 50         # time blocks of the block bootstrap
+TRACKED_PHASES = 32   # per-phase statistics pool the phases from this one up
 
 
 @dataclass(frozen=True)
@@ -33,14 +37,15 @@ class SimConfig:
     seed: int
     warmup: float = 0.0          # time discarded before sampling starts
     sample_stride: float = 1.0   # time between stationary samples
-    n_blocks: int = 50           # blocks for variance estimates and bootstrap
-    tracked_phases: int = 32     # per-phase statistics capped at this many phases
 
     def __post_init__(self):
-        if not self.horizon > self.warmup >= 0.0:
-            raise ValueError("need horizon > warmup >= 0")
-        if self.sample_stride <= 0.0:
-            raise ValueError("sample_stride must be positive")
+        if not math.isfinite(self.horizon) or not self.horizon > self.warmup >= 0.0:
+            raise InvalidInputError(
+                f"need a finite horizon > warmup >= 0, got horizon {self.horizon!r} "
+                f"and warmup {self.warmup!r}")
+        if not 0.0 < self.sample_stride < math.inf:
+            raise InvalidInputError(
+                f"sample_stride must be positive and finite, got {self.sample_stride!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,13 @@ class TailFit:
 class SurvivalEstimate:
     """Empirical stationary law of the fluid level.
 
-    grid/survival tabulate P(level > x); phase_survival[i] tabulates
-    P(phase = i, level > x) for the tracked phases.  block_counts holds one
-    histogram per time block (for block bootstrap).  The raw samples are kept
-    so that windows can be re-fitted later.
+    Everything is computed from the stride samples.  grid/survival tabulate
+    P(level > x); phase_survival[i] tabulates P(phase = i, level > x) and
+    phase_frequency[i] P(phase = i) for i up to TRACKED_PHASES, whose row
+    pools every phase from TRACKED_PHASES up.  block_counts holds one level
+    histogram per time block, N_BLOCKS consecutive slices of the samples,
+    for the block bootstrap.  The raw samples are kept so that windows can
+    be re-fitted later.
     """
 
     config: SimConfig
@@ -73,7 +81,6 @@ class SurvivalEstimate:
     n_events: int
     zero_fraction: float
     phase_frequency: np.ndarray
-    sojourn_fraction: np.ndarray          # blocks x phases occupation-time fractions
     block_counts: np.ndarray
     fitted: TailFit | None
     samples_level: np.ndarray = field(repr=False)
@@ -91,8 +98,6 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     n_max = int((config.horizon - config.warmup) / config.sample_stride) + 2
     out_level = np.empty(n_max)
     out_phase = np.empty(n_max, np.int64)
-    sojourn = np.zeros((config.n_blocks, config.tracked_phases + 1))
-    block_len = config.horizon / config.n_blocks
 
     phase, level, t = 0, 0.0, 0.0
     next_sample = config.warmup + config.sample_stride
@@ -104,13 +109,13 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
         phase, level, t, next_sample, n_written, used = _sim_core.advance(
             phase, level, t, config.horizon, config.warmup, config.sample_stride,
             next_sample, n_written, p.lam, p.mu, p.c, p.r, exps, us,
-            out_level, out_phase, sojourn, block_len, config.n_blocks,
+            out_level, out_phase, TRACKED_PHASES,
         )
         n_events += used
 
     levels = out_level[:n_written]
     phases = out_phase[:n_written]
-    grid, survival, phase_survival, block_counts, freq = _tabulate(config, levels, phases)
+    grid, survival, phase_survival, block_counts, freq = _tabulate(levels, phases)
     est = SurvivalEstimate(
         config=config,
         grid=grid,
@@ -120,7 +125,6 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
         n_events=n_events,
         zero_fraction=float(np.mean(levels == 0.0)) if n_written else 0.0,
         phase_frequency=freq,
-        sojourn_fraction=sojourn / sojourn.sum(),
         block_counts=block_counts,
         fitted=None,
         samples_level=levels,
@@ -128,19 +132,13 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     )
     if fit and n_written:
         try:
-            est = _with_fit(est, fit_tail(est))
+            est = replace(est, fitted=fit_tail(est))
         except InsufficientSamplesError:
             pass
     return est
 
 
-def _with_fit(est: SurvivalEstimate, fit: TailFit) -> SurvivalEstimate:
-    import dataclasses
-
-    return dataclasses.replace(est, fitted=fit)
-
-
-def _tabulate(config: SimConfig, levels: np.ndarray, phases: np.ndarray):
+def _tabulate(levels: np.ndarray, phases: np.ndarray, n_blocks: int = N_BLOCKS):
     """(grid, survival, phase_survival, block_counts, phase_frequency) of the samples.
 
     Sample i of n falls in time block `(i * n_blocks) // n`, so block b is the
@@ -157,8 +155,7 @@ def _tabulate(config: SimConfig, levels: np.ndarray, phases: np.ndarray):
     lower, upper = edges[:-1], np.append(edges[1:-1], np.inf)
     scale = n_bins / edges[-1]
     n = max(levels.size, 1)
-    n_blocks = config.n_blocks
-    n_phases = config.tracked_phases + 1
+    n_phases = TRACKED_PHASES + 1
     per_phase = np.zeros(n_phases * n_bins, np.int64)
     per_block = np.zeros((n_blocks, n_bins), np.int64)
     bounds = [-(-b * levels.size // n_blocks) for b in range(n_blocks + 1)]
@@ -273,8 +270,6 @@ def survival_csv(est: SurvivalEstimate, n_rows: int = 256) -> str:
 
 def summary_json(est: SurvivalEstimate) -> str:
     """JSON summary with the fitted rate and basic checks."""
-    import json
-
     fit = est.fitted
     return json.dumps(
         {

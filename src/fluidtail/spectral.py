@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
 from .cfrac import BoundaryVector, checked_boundary
-from .errors import FluidTailError
+from .errors import FluidTailError, InvalidInputError
 from .model import ModelParams, require_stable
 
 
@@ -203,7 +203,7 @@ def solve_truncated(params: ModelParams, n_phases: int = 400) -> SpectralSolutio
     """
     require_stable(params)
     if n_phases < params.c + 10:
-        raise ValueError(f"n_phases={n_phases} too small; need at least c+10")
+        raise InvalidInputError(f"n_phases={n_phases} too small; need at least c+10")
     c = params.c
     xi = _truncated_stationary(params, n_phases)
     pencil = _reduced_pencil(params, n_phases)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,27 @@ def test_simulate_json(capsys):
     assert payload["fitted_rate"] == pytest.approx(0.5, rel=0.15)
 
 
+# sha256 of the simulate JSON stdout at fixed seeds: a change in what the simulator
+# prints for a (config, seed) shows here.  A numpy release that changes the Philox
+# stream or its exponential and uniform samplers changes them too.
+SIMULATE_STDOUT_SHA256 = {
+    "I": ("a7438877f30a159445448274fba19059753f887bc0ba8277b826c2358b2fe5a9",
+          ["--horizon", "20000.0", "--stride", "0.05", "--seed", "7"]),
+    # 79492 events: more than one engine sub-block
+    "III": ("74c95a35fe4ce5b651bbfd116b50901499563714113171f68fa07a8f94e5efca",
+            ["--horizon", "2000.0", "--stride", "0.005", "--seed", "7"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_STDOUT_SHA256))
+def test_simulate_stdout_is_pinned(capsys, case):
+    digest, run = SIMULATE_STDOUT_SHA256[case]
+    code, out, _ = run_cli(capsys, "simulate", *REFERENCE_ARGS[case], *run)
+    assert code == 0
+    assert json.loads(out)["fitted_rate"] is not None
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_csv(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--c", "1", "--lambda", "1", "--mu", "3", "--r", "1",
@@ -216,3 +238,20 @@ def test_analyze_loads_no_scipy(tmp_path):
     assert result["code"] == 0
     assert result["loaded"] == []
     assert json.loads((tmp_path / "report.json").read_text())["case"]["value"] == "III"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--c", "0", "--lambda", "1", "--mu", "3", "--r", "1"],
+    ["simulate", "--c", "1", "--lambda", "-1", "--mu", "3", "--r", "1"],
+    ["simulate", *REFERENCE_ARGS["I"], "--horizon", "100", "--warmup", "100"],
+    ["simulate", *REFERENCE_ARGS["I"], "--horizon", "nan"],
+    ["simulate", *REFERENCE_ARGS["I"], "--horizon", "inf"],
+    ["simulate", *REFERENCE_ARGS["I"], "--stride", "0"],
+    ["validate", *REFERENCE_ARGS["I"], "--samples", "0"],
+    ["solve", *REFERENCE_ARGS["I"], "--truncation", "0"],
+], ids=["c0", "negative_lambda", "horizon_at_warmup", "horizon_nan", "horizon_inf",
+        "stride0", "samples0", "truncation0"])
+def test_bad_input_gets_a_structured_error(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidInputError"

@@ -10,7 +10,7 @@ from fluidtail import roots
 from fluidtail.asymptotics import TailCase, analyze, numerator_value
 from fluidtail.cfrac import density_coeff_reduced
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
-from fluidtail.kernel import branch_large, branch_points, branch_small
+from fluidtail.kernel import branch_large, branch_points, branch_small, branch_small_real
 from fluidtail.model import ModelParams
 from fluidtail.roots import find_coeff_zero, growing_zeros
 
@@ -188,6 +188,24 @@ def test_zero_search_large_c_has_no_false_zero():
         rep = analyze(p)
         assert rep.case is TailCase.BRANCH_ONLY
         assert rep.alpha_star == branch_points(p).alpha1
+
+
+def test_zero_search_light_load_large_r_stays_on_the_real_branch():
+    # at the rounded alpha1 the discriminant comes out negative, by more than the
+    # double-root tolerance of its scale (-3.5e-18 against b^2 = 2.4e-5 for c=2): the
+    # rounding of alpha1 moves b by about c mu eps.  In 50 digits d(alpha1) is -0.14
+    # and -0.30 of its term scale, so neither tuple has a zero in (0, alpha1].
+    for t in [(2, 4.448989365699341e-06, 0.6632641136921876, 298162.7650983089),
+              (7, 0.000386885797678768, 4.263359821424906, 77136.58070138237)]:
+        p = ModelParams(*t)
+        alpha1 = branch_points(p).alpha1
+        assert isinstance(branch_small_real(p, alpha1), float), t
+        zero = find_coeff_zero(p)
+        assert zero.alpha is None and len(zero.all_roots) == 0, t
+        rep = analyze(p)
+        assert rep.case is TailCase.BRANCH_ONLY, t
+        assert rep.alpha_star == alpha1
+        assert math.isfinite(rep.c_const) and rep.c_const > 0.0, t
 
 
 def test_zero_search_near_critical_c1():

@@ -7,7 +7,8 @@ from conftest import CASE_I, CASE_I_C2, CASE_III
 from fluidtail import _sim_core
 from fluidtail.errors import InsufficientSamplesError
 from fluidtail.model import ModelParams, phase_stationary
-from fluidtail.simulate import SimConfig, _tabulate, default_window, fit_tail, simulate
+from fluidtail.simulate import (N_BLOCKS, TRACKED_PHASES, SimConfig, _tabulate, default_window,
+                                fit_tail, simulate)
 
 C8 = ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)
 HEAVY = ModelParams(c=4, lam=3.9, mu=1.0, r=1.0)   # phase load 0.975; the level is unstable
@@ -44,26 +45,24 @@ def test_reproducibility_same_seed():
 
 
 def test_horizon_off_the_block_grid():
-    # horizon / n_blocks * n_blocks rounds below the horizon; the time past it is in the last block
+    # horizon / n_blocks * n_blocks rounds below the horizon; the samples still run up to it
     cfg = SimConfig(params=CASE_I, horizon=100.3, warmup=0.0, seed=1, sample_stride=0.1)
-    assert cfg.horizon / cfg.n_blocks * cfg.n_blocks < cfg.horizon
+    assert cfg.horizon / N_BLOCKS * N_BLOCKS < cfg.horizon
     est = simulate(cfg, fit=False)
     assert abs(est.n_samples - 1003) <= 1
-    assert est.sojourn_fraction[-1].sum() > 0.0
 
 
 def test_kernel_level_dynamics_handmade():
     # two crafted events check the linear motion and the exact zero clamp
     out_x = np.zeros(8)
     out_ph = np.zeros(8, np.int64)
-    sojourn = np.zeros((1, 33))
     p = ModelParams(c=1, lam=1.0, mu=3.0, r=2.0)
     # rates: phase 0 -> 1.0 (up only), phase 1 -> 4.0
     exps = np.array([1.0, 6.0, 100.0])   # taus: 1.0, 1.5, interrupted
     us = np.array([0.0, 0.99, 0.0])      # up, down, -
     phase, level, t, next_sample, n_written, used = _sim_core.advance(
         0, 0.0, 0.0, 2.7, 0.0, 1.0, 1.0, 0, p.lam, p.mu, p.c, p.r,
-        exps, us, out_x, out_ph, sojourn, 2.7, 1,
+        exps, us, out_x, out_ph, 32,
     )
     # event 1 at t=1 (phase 0->1, level pinned at 0 while draining)
     # event 2 at t=2.5 (phase 1->0), level rises at r=2 to 3.0
@@ -76,22 +75,18 @@ def test_kernel_level_dynamics_handmade():
     assert n_written == 2
     assert out_x[0] == 0.0 and out_ph[0] == 0
     assert out_x[1] == pytest.approx(2.0) and out_ph[1] == 1
-    # sojourn accounting: 1.2 time units in phase 0, 1.5 in phase 1
-    assert sojourn[0, 0] == pytest.approx(1.2)
-    assert sojourn[0, 1] == pytest.approx(1.5)
 
 
 def test_zero_clamp_partial_interval():
     # draining from level 1 at rate -1: samples read max(0, 1 - t) exactly
     out_x = np.zeros(16)
     out_ph = np.zeros(16, np.int64)
-    sojourn = np.zeros((1, 33))
     p = ModelParams(c=1, lam=1.0, mu=3.0, r=2.0)
     exps = np.array([3.0, 100.0])        # phase 0: rate 1 -> tau = 3
     us = np.array([0.0, 0.0])
     phase, level, t, ns, n_written, used = _sim_core.advance(
         0, 1.0, 0.0, 3.0, 0.0, 0.25, 0.25, 0, p.lam, p.mu, p.c, p.r,
-        exps, us, out_x, out_ph, sojourn, 3.0, 1,
+        exps, us, out_x, out_ph, 32,
     )
     assert level == 0.0
     expected = np.maximum(0.0, 1.0 - np.arange(1, n_written + 1) * 0.25)
@@ -101,20 +96,14 @@ def test_zero_clamp_partial_interval():
 def test_phase_frequencies_match_background_law(est_case1):
     xi = phase_stationary(CASE_I)
     freq = est_case1.phase_frequency
+    # the standard error from the per-block frequencies, the blocks sliced as _tabulate slices them
+    n = est_case1.n_samples
+    bounds = [-(-b * n // N_BLOCKS) for b in range(N_BLOCKS + 1)]
     for i in range(4):
-        block_vals = est_case1.sojourn_fraction[:, i]
-        block_vals = block_vals / est_case1.sojourn_fraction.sum(axis=1)
+        block_vals = np.array([np.mean(est_case1.samples_phase[lo:hi] == i)
+                               for lo, hi in zip(bounds, bounds[1:])])
         se = block_vals.std(ddof=1) / np.sqrt(len(block_vals))
         assert abs(freq[i] - xi.prob(i)) < max(4.0 * se, 5e-3)
-
-
-def test_sojourn_law_of_large_numbers(est_case1):
-    xi = phase_stationary(CASE_I)
-    frac = est_case1.sojourn_fraction.sum(axis=0)
-    for i in range(5):
-        per_block = est_case1.sojourn_fraction[:, i] / est_case1.sojourn_fraction.sum(axis=1)
-        se = per_block.std(ddof=1) / np.sqrt(len(per_block))
-        assert abs(frac[i] - xi.prob(i)) < max(4.0 * se, 5e-3)
 
 
 def test_zero_atom_positive(est_case1):
@@ -151,7 +140,7 @@ def test_tables_match_histograms(est_case1):
     for b in range(n_blocks):
         counts, _ = np.histogram(est.samples_level[block_of == b], bins=edges)
         assert np.array_equal(est.block_counts[b], counts)
-    freq = np.bincount(est.samples_phase, minlength=est.config.tracked_phases + 1) / n
+    freq = np.bincount(est.samples_phase, minlength=TRACKED_PHASES + 1) / n
     assert np.array_equal(est.phase_frequency, freq)
 
 
@@ -161,8 +150,7 @@ def test_tabulate_blocks_are_slices_of_the_samples(n, n_blocks):
     rng = np.random.Generator(np.random.Philox(17))
     levels = np.maximum(rng.exponential(1.0, n) - 0.3, 0.0)
     phases = rng.integers(0, 33, n)
-    config = SimConfig(params=CASE_I, horizon=10.0, seed=1, n_blocks=n_blocks)
-    grid, _, phase_survival, block_counts, freq = _tabulate(config, levels, phases)
+    grid, _, phase_survival, block_counts, freq = _tabulate(levels, phases, n_blocks)
     edges = np.concatenate(([0.0], grid))
     block_of = (np.arange(n) * n_blocks) // n
     for b in range(n_blocks):
@@ -180,8 +168,7 @@ def test_tabulate_bins_levels_on_edges(top):
     edges = np.linspace(0.0, top * (1 + 1e-9), 2049)
     levels = np.concatenate((edges[:-1], np.nextafter(edges[:-1], np.inf),
                              np.nextafter(edges[1:-1], 0.0), [top]))
-    config = make_config(CASE_I)
-    _, survival, _, block_counts, _ = _tabulate(config, levels, np.zeros(levels.size, np.int64))
+    _, survival, _, block_counts, _ = _tabulate(levels, np.zeros(levels.size, np.int64))
     counts, _ = np.histogram(levels, bins=edges)
     assert np.array_equal(block_counts.sum(axis=0), counts)
     assert np.array_equal(survival, 1.0 - np.cumsum(counts) / levels.size)
@@ -273,16 +260,10 @@ def test_far_tail_window_inflates_ci(est_case1):
 
 
 def _reference_advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
-                       lam, mu, c, r, exps, us, out_level, out_phase,
-                       sojourn, block_len, n_blocks):
-    """Per-event reference for `_sim_core.advance`: one Python step per event.
-
-    It spins forever when `n_blocks * block_len` rounds below `t_end` and an
-    event crosses that product; the inputs below keep clear of that.
-    """
+                       lam, mu, c, r, exps, us, out_level, out_phase, max_phase):
+    """Per-event reference for `_sim_core.advance`: one Python step per event."""
     n_events = exps.shape[0]
     max_out = out_level.shape[0]
-    max_phase = sojourn.shape[1] - 1
     k = 0
     while k < n_events and t < t_end:
         service = phase * mu if phase < c else c * mu
@@ -296,17 +277,6 @@ def _reference_advance(phase, level, t, t_end, warmup, stride, next_sample, n_wr
             t_next = t_end
             tau = t_end - t
             k -= 1  # the interrupted event is not consumed
-        # sojourn accounting, split across block boundaries
-        left = t
-        while left < t_next:
-            blk = int(left / block_len)
-            if blk >= n_blocks:
-                blk = n_blocks - 1
-            edge = (blk + 1) * block_len
-            seg = (t_next if t_next < edge else edge) - left
-            ph = phase if phase < max_phase else max_phase
-            sojourn[blk, ph] += seg
-            left += seg
         # samples inside (t, t_next]
         while next_sample <= t_next:
             if next_sample > warmup and n_written < max_out:
@@ -333,12 +303,11 @@ def _reference_advance(phase, level, t, t_end, warmup, stride, next_sample, n_wr
 def test_advance_matches_per_event_reference(params, monkeypatch):
     # short chunks and sub-blocks cross both boundaries many times before the horizon cuts in
     monkeypatch.setattr(_sim_core, "_BLOCK", 97)
-    horizon, warmup, stride, n_blocks, chunk = 2e3, 10.0, 0.37, 7, 1000
+    horizon, warmup, stride, chunk = 2e3, 10.0, 0.37, 1000
     n_max = int((horizon - warmup) / stride) + 2
 
     def run(step):
         out_level, out_phase = np.zeros(n_max), np.zeros(n_max, np.int64)
-        sojourn = np.zeros((n_blocks, 6))  # phases from 5 up are pooled in the last column
         phase, level, t, next_sample, n_written = 0, 0.0, 0.0, warmup + stride, 0
         rng = np.random.Generator(np.random.Philox(11))
         used = []
@@ -347,12 +316,12 @@ def test_advance_matches_per_event_reference(params, monkeypatch):
             phase, level, t, next_sample, n_written, k = step(
                 phase, level, t, horizon, warmup, stride, next_sample, n_written,
                 params.lam, params.mu, params.c, params.r, exps, us,
-                out_level, out_phase, sojourn, horizon / n_blocks, n_blocks)
+                out_level, out_phase, 5)  # phases from 5 up are written as 5
             used.append(k)
-        return (used, phase, t, next_sample, n_written, out_phase), level, out_level, sojourn
+        return (used, phase, t, next_sample, n_written, out_phase), level, out_level
 
-    exact, level, out_level, sojourn = run(_sim_core.advance)
-    ref_exact, ref_level, ref_out_level, ref_sojourn = run(_reference_advance)
+    exact, level, out_level = run(_sim_core.advance)
+    ref_exact, ref_level, ref_out_level = run(_reference_advance)
     used, out_phase = ref_exact[0], ref_exact[-1]
     assert len(used) > 2 and used[-1] < chunk  # several chunks, the last one cut
     assert np.any(out_phase == 5)
@@ -360,7 +329,6 @@ def test_advance_matches_per_event_reference(params, monkeypatch):
     assert np.array_equal(exact[-1], out_phase)
     assert level == pytest.approx(ref_level, abs=1e-9)
     assert np.allclose(out_level, ref_out_level, rtol=0.0, atol=1e-9)
-    assert np.allclose(sojourn, ref_sojourn, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("params", [
@@ -395,7 +363,7 @@ def test_advance_builds_few_events_past_the_horizon(monkeypatch):
     p, horizon = CASE_I, 4e4
     *_, used = _sim_core.advance(
         0, 0.0, 0.0, horizon, 10.0, 0.5, 10.5, 0, p.lam, p.mu, p.c, p.r, exps, us,
-        np.zeros(1 << 17), np.zeros(1 << 17, np.int64), np.zeros((4, 6)), horizon / 4, 4)
+        np.zeros(1 << 17), np.zeros(1 << 17, np.int64), 5)
     assert 1 << 16 < used < exps.shape[0]
     assert steps - used < 0.01 * used
 
@@ -421,76 +389,3 @@ def test_sample_events_match_searchsorted():
         ends.sort()
         expected = np.searchsorted(ends[:-1], ts, side="left")
         assert np.array_equal(_sim_core._sample_events(ends, ts, stride), expected)
-
-
-def _whole_array_occupation(sojourn, starts, ends, ph, block_len, n_blocks):
-    """The occupation bookkeeping as one bincount over every event, then the edge splits."""
-    blk = np.minimum((starts / block_len).astype(np.int64), n_blocks - 1)
-    cross = (blk < n_blocks - 1) & (ends > (blk + 1) * block_len)
-    inside = ~cross
-    sojourn += np.bincount(
-        blk[inside] * sojourn.shape[1] + ph[inside],
-        weights=(ends - starts)[inside], minlength=sojourn.size,
-    ).reshape(sojourn.shape)
-    for left, right, b, p in zip(starts[cross], ends[cross], blk[cross], ph[cross]):
-        while left < right:
-            edge = right if b == n_blocks - 1 else max(min(right, (b + 1) * block_len), left)
-            sojourn[b, p] += edge - left
-            left, b = edge, b + 1
-
-
-def test_occupation_matches_whole_array_bincount(monkeypatch):
-    # blocks shorter than many events: intervals cross two or more edges, and the
-    # events past n_blocks * block_len fall in the last block
-    calls = []
-    occupation = _sim_core._occupation
-
-    def recording_occupation(sojourn, starts, ends, ph, block_len, n_blocks):
-        calls.append((starts.copy(), ends.copy(), ph.copy(), block_len, n_blocks))
-        occupation(sojourn, starts, ends, ph, block_len, n_blocks)
-
-    monkeypatch.setattr(_sim_core, "_occupation", recording_occupation)
-    monkeypatch.setattr(_sim_core, "_BLOCK", 1000)
-    rng = np.random.Generator(np.random.Philox(23))
-    exps, us = rng.standard_exponential(1 << 13), rng.random(1 << 13)
-    p, horizon, n_blocks = C8, 300.3, 1500
-    sojourn = np.zeros((n_blocks, 6))
-    _sim_core.advance(0, 0.0, 0.0, horizon, 0.0, 0.5, 0.5, 0, p.lam, p.mu, p.c, p.r, exps, us,
-                      np.zeros(700), np.zeros(700, np.int64), sojourn, horizon / n_blocks, n_blocks)
-    expected = np.zeros_like(sojourn)
-    for starts, ends, ph, block_len, nb in calls:
-        _whole_array_occupation(expected, starts, ends, ph, block_len, nb)
-    assert len(calls) > 2
-    starts, ends = np.concatenate([c[0] for c in calls]), np.concatenate([c[1] for c in calls])
-    block_len = horizon / n_blocks
-    assert np.any((ends / block_len).astype(int) - (starts / block_len).astype(int) >= 2)
-    assert np.count_nonzero(starts >= (n_blocks - 1) * block_len) > 1
-    assert np.array_equal(sojourn, expected)
-
-
-def test_block_slices_follow_the_division():
-    # 1.7 / 0.1 rounds up to 17 though 1.7 < 17 * 0.1, and 4.3 / 0.1 rounds down below 43
-    # though 4.3 >= 43 * 0.1: a search on the block start times alone misplaces both events
-    block_len, n_blocks = 0.1, 60
-    assert 1.7 / block_len >= 17 and 1.7 < 17 * block_len
-    assert 4.3 / block_len < 43 and 4.3 >= 43 * block_len
-    starts = np.array([1.65, 1.7, 1.75, 4.25, 4.3, 4.35])
-    ends = np.append(starts[1:], 4.4)
-    ph = np.arange(6)
-    sojourn, expected = np.zeros((n_blocks, 6)), np.zeros((n_blocks, 6))
-    _sim_core._occupation(sojourn, starts, ends, ph, block_len, n_blocks)
-    _whole_array_occupation(expected, starts, ends, ph, block_len, n_blocks)
-    assert np.array_equal(sojourn, expected)
-    # and on random times: blocks of tenths, thirds and the horizon 100.3 cut in 50
-    rng = np.random.Generator(np.random.Philox(29))
-    cases = [(starts, block_len, n_blocks)]
-    for block_len in (0.1, 1 / 3, 100.3 / 50):
-        for _ in range(50):
-            n = int(rng.integers(1, 200))
-            times = np.round(rng.uniform(0.0, 60.0 * block_len, n), int(rng.integers(1, 4)))
-            cases.append((np.sort(times), block_len, 50))
-    for starts, block_len, n_blocks in cases:
-        blk = np.minimum((starts / block_len).astype(np.int64), n_blocks - 1)
-        blocks, bounds = _sim_core._block_slices(starts, block_len, n_blocks)
-        assert list(blocks) == list(range(blk[0], blk[-1] + 1))
-        assert bounds == np.searchsorted(blk, np.arange(blk[0], blk[-1] + 2)).tolist()
