@@ -1,13 +1,14 @@
 """Chunk-vectorized engine of the event-driven simulator.
 
 `advance` moves one sample path of the (phase, level) process through one
-chunk of pre-drawn randomness.  Event k of the chunk waits `exps[k] / rate`
-and jumps up iff `us[k] * rate < lam`, where `rate = lam + min(phase, c) mu`;
-the event cut by the horizon is not consumed.  Event times, levels and
-samples are whole-array operations over sub-blocks of at most `_BLOCK`
-events.  Once the horizon is in sight, a sub-block is sized from the time
-left and the event rate so far, so that few events are built past the
-horizon.
+chunk of pre-drawn exponentials.  Event k of the chunk waits `exps[k] / rate`
+and jumps up iff `u_k * rate < lam`, where `rate = lam + min(phase, c) mu`
+and u_k is the k-th uniform of the chunk; the event cut by the horizon is
+not consumed.  Event times, levels and samples are whole-array operations
+over sub-blocks of at most `_BLOCK` events, and each sub-block's uniforms
+are drawn as it is built, into one reused buffer.  Once the horizon is in
+sight, a sub-block is sized from the time left and the event rate so far,
+so that few events are built (and few uniforms drawn) past the horizon.
 
 Events and samples are both in time order, so `_sample_events` finds each
 stride sample's event from per-event sample counts (an even-stride guess,
@@ -188,22 +189,29 @@ def _sample_events(ends, ts, stride):
 
 
 def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
-            lam, mu, c, r, exps, us, out_level, out_phase, max_phase):
+            lam, mu, c, r, exps, uniforms, out_level, out_phase, max_phase):
     """Advance through one chunk of randomness; returns the updated state.
 
     Returns `(phase, level, t, next_sample, n_written, used)`, `used` being
-    the number of events consumed.  Between jumps the level moves linearly
-    at the phase's net rate and is clamped at zero exactly: a sample landing
-    after the hitting time reads zero, not a negative excursion.  Samples
-    are taken every `stride` time units after `warmup`, on a grid that is a
-    running sum from `next_sample`, and each is read on its event interval
+    the number of events consumed.  Each sub-block draws its uniforms, one
+    per event built, by `uniforms.random(out=buf)` (a `numpy.random.Generator`
+    or anything that fills `buf` in the same order).  A chunk that runs out
+    before the horizon has drawn exactly `used` uniforms, as many as it has
+    exponentials, so the generator stands where a whole-chunk draw would
+    have left it.  Between jumps the level moves linearly at the phase's net
+    rate and is clamped at zero exactly: a sample landing after the hitting
+    time reads zero, not a negative excursion.  Samples are taken every
+    `stride` time units after `warmup`, on a grid that is a running sum from
+    `next_sample`, and each is read on its event interval
     (`_sample_events`); phases above `max_phase` are written as `max_phase`.
     """
     rates = lam + np.arange(c + 1) * mu
+    buf = np.empty(_BLOCK)
     used, t0, size = 0, t, _BLOCK
     while used < exps.shape[0] and t < t_end:
         k1 = min(used + size, exps.shape[0])
-        xs = _phase_path(_thresholds(us[used:k1], lam, rates, c), phase, c)
+        us = uniforms.random(out=buf[:k1 - used])
+        xs = _phase_path(_thresholds(us, lam, rates, c), phase, c)
         x = xs[:-1]
         tau = exps[used:k1] / rates[np.minimum(x, c)]
         net = np.where(x < c, (x - c).astype(float), r)

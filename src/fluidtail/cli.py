@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
     params = _params(args)
     report = asymptotics.analyze(params)
     payload = _report_payload(report)
-    _emit(args, payload, _report_csv(payload))
+    _emit(args, payload, _report_csv(payload) if args.format == "csv" else None)
     return 0
 
 

@@ -8,6 +8,17 @@ refer to.  Randomness comes from a counter-based generator (Philox), so a
 (config, seed) pair always gives the same output and runs are trivially
 parallel across seeds.  One vectorized engine (`_sim_core.advance`) moves
 the sample path through each chunk of random draws.
+
+Each chunk draws its 2^20 exponentials whole, then `advance` draws the
+chunk's uniforms one sub-block at a time, as it builds that sub-block.  The
+values are those of one whole-chunk draw of each: Philox is counter-based
+and `Generator.random` takes one 64-bit draw per uniform, so drawing in
+pieces leaves the stream unchanged, and a chunk that runs out before the
+horizon has drawn all 2^20 uniforms.  The uniforms past the horizon are
+never drawn.  The exponentials cannot be cut the same way: the uniforms'
+stream position comes after every one of them, and the ziggurat takes a
+data-dependent number of raw draws per exponential.  Phases are stored as
+int8, since every phase from TRACKED_PHASES up is written as TRACKED_PHASES.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from . import _sim_core
 from .errors import InsufficientSamplesError, InvalidInputError
 from .model import ModelParams, require_stable
 
-_CHUNK = 1 << 20  # random numbers drawn per kernel call
+_CHUNK = 1 << 20  # exponentials drawn per kernel call
 _PIECE = 1 << 16  # samples binned at once
 N_BLOCKS = 50         # time blocks of the block bootstrap
 TRACKED_PHASES = 32   # per-phase statistics pool the phases from this one up
@@ -70,7 +81,7 @@ class SurvivalEstimate:
     pools every phase from TRACKED_PHASES up.  block_counts holds one level
     histogram per time block, N_BLOCKS consecutive slices of the samples,
     for the block bootstrap.  The raw samples are kept so that windows can
-    be re-fitted later.
+    be re-fitted later; samples_phase is int8, capped at TRACKED_PHASES.
     """
 
     config: SimConfig
@@ -97,7 +108,7 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     rng = np.random.Generator(np.random.Philox(config.seed))
     n_max = int((config.horizon - config.warmup) / config.sample_stride) + 2
     out_level = np.empty(n_max)
-    out_phase = np.empty(n_max, np.int64)
+    out_phase = np.empty(n_max, np.int8)
 
     phase, level, t = 0, 0.0, 0.0
     next_sample = config.warmup + config.sample_stride
@@ -105,13 +116,13 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     n_events = 0
     while t < config.horizon:
         exps = rng.standard_exponential(_CHUNK)
-        us = rng.random(_CHUNK)
         phase, level, t, next_sample, n_written, used = _sim_core.advance(
             phase, level, t, config.horizon, config.warmup, config.sample_stride,
-            next_sample, n_written, p.lam, p.mu, p.c, p.r, exps, us,
+            next_sample, n_written, p.lam, p.mu, p.c, p.r, exps, rng,
             out_level, out_phase, TRACKED_PHASES,
         )
         n_events += used
+    del exps, rng   # freed before the tables and the fit are built
 
     levels = out_level[:n_written]
     phases = out_phase[:n_written]
@@ -169,7 +180,7 @@ def _tabulate(levels: np.ndarray, phases: np.ndarray, n_blocks: int = N_BLOCKS):
             idx -= x < lower.take(idx)
             idx += x >= upper.take(idx)
             per_block[b] += np.bincount(idx, minlength=n_bins)
-            idx += phases[lo:hi] * n_bins
+            idx += phases[lo:hi].astype(np.intp) * n_bins
             counts = np.bincount(idx)
             per_phase[:counts.size] += counts
     per_phase = per_phase.reshape(n_phases, n_bins)
@@ -180,11 +191,23 @@ def _tabulate(levels: np.ndarray, phases: np.ndarray, n_blocks: int = N_BLOCKS):
 
 
 def default_window(est: SurvivalEstimate, s_high: float = 3e-2, s_low: float = 1e-4):
-    """Window [x_lo, x_hi] spanning the given survival levels."""
-    n = est.samples_level.size
+    """Window [x_lo, x_hi] spanning the given survival levels.
+
+    x_lo and x_hi are the order statistics k_lo and k_hi of the levels, as
+    `np.partition` over all samples gives them.  Only the samples at or
+    above the lower edge of the histogram bin holding the lower rank are
+    partitioned: the bins are exact (lower <= level < upper), so the
+    cumulative bin counts tell how many samples lie below that edge.
+    """
+    levels = est.samples_level
+    n = levels.size
     k_lo, k_hi = min(n - 1, int(n * (1.0 - s_high))), min(n - 1, int(n * (1.0 - s_low)))
-    levels = np.partition(est.samples_level, [k_lo, k_hi])
-    return float(levels[k_lo]), float(levels[k_hi])
+    cum = np.cumsum(est.block_counts.sum(axis=0).astype(np.int64))
+    b = int(np.searchsorted(cum, min(k_lo, k_hi), side="right"))
+    below = int(cum[b - 1]) if b else 0
+    edge = est.grid[b - 1] if b else 0.0
+    top = np.partition(levels[levels >= edge], [k_lo - below, k_hi - below])
+    return float(top[k_lo - below]), float(top[k_hi - below])
 
 
 def fit_tail(

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -21,9 +23,26 @@ def make_config(params, horizon=4e4, samples=80_000, seed=7, warmup=50.0):
     )
 
 
+class _Uniforms:
+    """Serves fixed uniforms in order, as `Generator.random(out=...)` draws them; counts the draws."""
+
+    def __init__(self, us):
+        self.us, self.drawn = np.asarray(us, float), 0
+
+    def random(self, out):
+        out[:] = self.us[self.drawn:self.drawn + out.size]
+        self.drawn += out.size
+        return out
+
+
 @pytest.fixture(scope="module")
 def est_case1():
     return simulate(make_config(CASE_I, horizon=2e5, samples=400_000))
+
+
+@pytest.fixture(scope="module")
+def est_case3():
+    return simulate(make_config(CASE_III, horizon=2e3, samples=200_000, warmup=5.0), fit=False)
 
 
 def test_config_validation():
@@ -62,7 +81,7 @@ def test_kernel_level_dynamics_handmade():
     us = np.array([0.0, 0.99, 0.0])      # up, down, -
     phase, level, t, next_sample, n_written, used = _sim_core.advance(
         0, 0.0, 0.0, 2.7, 0.0, 1.0, 1.0, 0, p.lam, p.mu, p.c, p.r,
-        exps, us, out_x, out_ph, 32,
+        exps, _Uniforms(us), out_x, out_ph, 32,
     )
     # event 1 at t=1 (phase 0->1, level pinned at 0 while draining)
     # event 2 at t=2.5 (phase 1->0), level rises at r=2 to 3.0
@@ -86,7 +105,7 @@ def test_zero_clamp_partial_interval():
     us = np.array([0.0, 0.0])
     phase, level, t, ns, n_written, used = _sim_core.advance(
         0, 1.0, 0.0, 3.0, 0.0, 0.25, 0.25, 0, p.lam, p.mu, p.c, p.r,
-        exps, us, out_x, out_ph, 32,
+        exps, _Uniforms(us), out_x, out_ph, 32,
     )
     assert level == 0.0
     expected = np.maximum(0.0, 1.0 - np.arange(1, n_written + 1) * 0.25)
@@ -245,6 +264,84 @@ def test_default_window_reads_the_sorted_levels(est_case1, s_high, s_low):
     assert default_window(est_case1, s_high, s_low) == expected
 
 
+def _partition_window(levels, s_high, s_low):
+    n = levels.size
+    k_lo, k_hi = min(n - 1, int(n * (1.0 - s_high))), min(n - 1, int(n * (1.0 - s_low)))
+    part = np.partition(levels, [k_lo, k_hi])
+    return part[k_lo], part[k_hi]
+
+
+def _with_levels(est, levels):
+    """`est` with its samples and tables replaced by those of `levels`, all in phase 0."""
+    phases = np.zeros(levels.size, np.int8)
+    grid, survival, phase_survival, block_counts, freq = _tabulate(levels, phases)
+    return replace(est, grid=grid, survival=survival, phase_survival=phase_survival,
+                   n_samples=levels.size, phase_frequency=freq, block_counts=block_counts,
+                   samples_level=levels, samples_phase=phases)
+
+
+@pytest.mark.parametrize("s_high, s_low", [(3e-2, 1e-4), (0.15, 1e-3), (0.7, 0.2), (1.0, 0.0)])
+@pytest.mark.parametrize("name", ["est_case1", "est_case3"])
+def test_default_window_matches_partition(request, name, s_high, s_low):
+    # CASE_III has 81% zero levels; with s_high 0.7 or 1 the lower rank falls in bin 0
+    est = request.getfixturevalue(name)
+    n = est.n_samples
+    if name == "est_case3":
+        assert est.zero_fraction > 0.75
+    if s_high >= 0.7:
+        assert est.block_counts[:, 0].sum() > int(n * (1.0 - s_high))
+    assert default_window(est, s_high, s_low) == _partition_window(est.samples_level, s_high, s_low)
+
+
+@pytest.mark.parametrize("s_high, s_low", [(0.45, 0.1), (0.5, 0.4), (0.505, 0.3), (0.4, 0.5),
+                                           (0.99, 0.5), (1e-3, 0.0)])
+def test_default_window_with_ties_on_a_bin_edge(est_case1, s_high, s_low):
+    # 100 levels on the lower edge of bin 1000, 30 one ulp below it, zeros and a spread
+    edge = np.linspace(0.0, 10.0 * (1 + 1e-9), 2049)[1000]
+    rng = np.random.Generator(np.random.Philox(23))
+    levels = np.concatenate((np.zeros(200), rng.uniform(0.0, edge, 270),
+                             np.full(30, np.nextafter(edge, 0.0)), np.full(100, edge),
+                             rng.uniform(edge, 10.0, 399), [10.0]))
+    rng.shuffle(levels)
+    est = _with_levels(est_case1, levels)
+    assert est.grid[999] == edge
+    assert default_window(est, s_high, s_low) == _partition_window(levels, s_high, s_low)
+
+
+def test_default_window_of_one_sample():
+    est = simulate(SimConfig(params=CASE_I, horizon=1.0, seed=1, sample_stride=0.6), fit=False)
+    assert est.n_samples == 1
+    x = float(est.samples_level[0])
+    assert default_window(est) == (x, x)
+    assert default_window(est, 1.0, 0.0) == (x, x)
+
+
+def test_simulate_peak_memory_and_int8_phases():
+    # about 1e6 samples: the levels take 8 MiB, the int8 phases 1 MiB
+    cfg = SimConfig(params=CASE_I, horizon=4e5, seed=1, sample_stride=0.4)
+    tracemalloc.start()
+    try:
+        est = simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples > 900_000 and est.fitted is not None
+    assert est.samples_phase.dtype == np.int8
+    assert peak < 32 * 2**20
+
+
+def test_tabulate_int8_phases_match_int64():
+    # phases * n_bins must not wrap in int8
+    rng = np.random.Generator(np.random.Philox(19))
+    n = 150_001
+    levels = np.maximum(rng.exponential(1.0, n) - 0.3, 0.0)
+    phases = rng.integers(0, TRACKED_PHASES + 1, n)
+    tables8 = _tabulate(levels, phases.astype(np.int8))
+    tables64 = _tabulate(levels, phases.astype(np.int64))
+    for a, b in zip(tables8, tables64):
+        assert np.array_equal(a, b)
+
+
 def test_fit_tail_insufficient_samples():
     est = simulate(make_config(CASE_I, horizon=2e3, samples=2_000), fit=False)
     with pytest.raises(InsufficientSamplesError):
@@ -306,22 +403,24 @@ def test_advance_matches_per_event_reference(params, monkeypatch):
     horizon, warmup, stride, chunk = 2e3, 10.0, 0.37, 1000
     n_max = int((horizon - warmup) / stride) + 2
 
-    def run(step):
+    def run(step, uniforms):
         out_level, out_phase = np.zeros(n_max), np.zeros(n_max, np.int64)
         phase, level, t, next_sample, n_written = 0, 0.0, 0.0, warmup + stride, 0
         rng = np.random.Generator(np.random.Philox(11))
         used = []
         while t < horizon:
-            exps, us = rng.standard_exponential(chunk), rng.random(chunk)
+            exps = rng.standard_exponential(chunk)
             phase, level, t, next_sample, n_written, k = step(
                 phase, level, t, horizon, warmup, stride, next_sample, n_written,
-                params.lam, params.mu, params.c, params.r, exps, us,
+                params.lam, params.mu, params.c, params.r, exps, uniforms(rng, chunk),
                 out_level, out_phase, 5)  # phases from 5 up are written as 5
             used.append(k)
         return (used, phase, t, next_sample, n_written, out_phase), level, out_level
 
-    exact, level, out_level = run(_sim_core.advance)
-    ref_exact, ref_level, ref_out_level = run(_reference_advance)
+    # advance draws each sub-block's uniforms from the generator; the reference gets the chunk's
+    exact, level, out_level = run(_sim_core.advance, lambda rng, chunk: rng)
+    ref_exact, ref_level, ref_out_level = run(_reference_advance,
+                                              lambda rng, chunk: rng.random(chunk))
     used, out_phase = ref_exact[0], ref_exact[-1]
     assert len(used) > 2 and used[-1] < chunk  # several chunks, the last one cut
     assert np.any(out_phase == 5)
@@ -359,13 +458,14 @@ def test_advance_builds_few_events_past_the_horizon(monkeypatch):
 
     monkeypatch.setattr(_sim_core, "_phase_path", counting_phase_path)
     rng = np.random.Generator(np.random.Philox(3))
-    exps, us = rng.standard_exponential(1 << 18), rng.random(1 << 18)
+    exps, us = rng.standard_exponential(1 << 18), _Uniforms(rng.random(1 << 18))
     p, horizon = CASE_I, 4e4
     *_, used = _sim_core.advance(
         0, 0.0, 0.0, horizon, 10.0, 0.5, 10.5, 0, p.lam, p.mu, p.c, p.r, exps, us,
         np.zeros(1 << 17), np.zeros(1 << 17, np.int64), 5)
     assert 1 << 16 < used < exps.shape[0]
     assert steps - used < 0.01 * used
+    assert us.drawn - used < 0.01 * used
 
 
 def test_sample_events_match_searchsorted():
