@@ -15,7 +15,6 @@ from .asymptotics import (
     lower_phase_tail,
     marginal_tail,
 )
-from .cfrac import BoundaryVector
 from .errors import (
     AssumptionViolatedError,
     BranchCutError,
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .kernel import BranchPoints, branch_large, branch_points, branch_small, kernel
 from .model import (
+    BoundaryVector,
     DriftCertificate,
     ModelParams,
     PhaseDistribution,

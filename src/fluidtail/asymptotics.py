@@ -34,17 +34,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfrac import (
-    BoundaryVector,
-    checked_boundary,
-    density_coeff_reduced,
-    ratio_chain_value,
-    ratio_chain_values,
-)
 from .errors import AssumptionViolatedError, FluidTailError
-from .kernel import branch_large, branch_points, branch_small, kernel_discriminant
-from .model import ModelParams, phase_stationary, require_stable
-from .roots import CoeffZero, _deflated, find_coeff_zero, growing_zeros, pivot_weights
+from .kernel import branch_points, branch_small_real, kernel_discriminant
+from .model import BoundaryVector, ModelParams, checked_boundary, phase_stationary, require_stable
+from .roots import (
+    CoeffZero,
+    _deflated,
+    chain_links,
+    density_coeff_reduced,
+    find_coeff_zero,
+    growing_zeros,
+    pivot_weights,
+)
 
 
 # kernel boundary masses, a transform numerator or a pole constant with a
@@ -128,7 +129,7 @@ def _numerator_rounding(params: ModelParams, boundary: BoundaryVector, alpha: fl
     |N|.  An estimate of _MAX_RTOL or more raises FluidTailError: N is then
     lost to cancellation.
     """
-    z = complex(branch_small(params, alpha)).real
+    z = branch_small_real(params, alpha)
     terms = _numerator_terms(params, boundary, alpha, z)
     rel_err = 10.0 * _EPS * sum(abs(t) for t in terms) / abs(sum(terms))
     if not rel_err < _MAX_RTOL:
@@ -142,11 +143,11 @@ def _numerator_rounding(params: ModelParams, boundary: BoundaryVector, alpha: fl
 def transform_continuation(params: ModelParams, boundary: BoundaryVector, alpha):
     """Analytic continuation of the phase-(c-1) density transform.
 
-    Valid at alpha >= 0 off the cut (numerator_value) wherever the folded
+    Valid at 0 <= alpha <= alpha1 (numerator_value) wherever the folded
     coefficient is nonzero; this is what the asymptotic constants are
     limits of.
     """
-    z = branch_small(params, alpha)
+    z = branch_small_real(params, alpha)
     return -numerator_value(params, boundary, alpha, z) / density_coeff_reduced(
         params, alpha, z
     )
@@ -192,8 +193,8 @@ def constant_simple_pole(
         raise ValueError("constant_simple_pole needs an interior zero")
     a = zero.alpha
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    z = complex(branch_small(params, a)).real
-    n_val = complex(numerator_value(params, boundary, a, z)).real
+    z = branch_small_real(params, a)
+    n_val = numerator_value(params, boundary, a, z)
     d_prime = _derivative(lambda x: _deflated(params, x)[0], a)
     if not d_prime > 0.0:
         raise AssumptionViolatedError(
@@ -225,8 +226,8 @@ def constant_pole_at_branch(params: ModelParams, boundary: BoundaryVector) -> fl
     """
     bp = branch_points(params)
     a = bp.alpha1
-    z = complex(branch_small(params, a)).real
-    n_val = complex(numerator_value(params, boundary, a, z)).real
+    z = branch_small_real(params, a)
+    n_val = numerator_value(params, boundary, a, z)
     dfdz = _derivative(lambda w: density_coeff_reduced(params, a, w), z)
     return float(
         2.0 * params.lam * n_val
@@ -243,9 +244,9 @@ def constant_branch_only(params: ModelParams, boundary: BoundaryVector) -> float
     """
     bp = branch_points(params)
     a = bp.alpha1
-    z = complex(branch_small(params, a)).real
-    num = complex(numerator_value(params, boundary, a, z)).real
-    den = complex(density_coeff_reduced(params, a, z)).real
+    z = branch_small_real(params, a)
+    num = numerator_value(params, boundary, a, z)
+    den = density_coeff_reduced(params, a, z)
     if abs(den) < 1e-12 * max(abs(num), 1.0):
         raise FluidTailError("folded coefficient vanishes at the branch point; not BRANCH_ONLY")
     dl_dz = _derivative(
@@ -313,9 +314,10 @@ def _phase_extraction_coeffs(params: ModelParams, alpha_star: float, case: TailC
     linear-in-j factor in the BRANCH_ONLY case.
     """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    p_val = lam * ratio_chain_value(params, alpha_star) + mu - alpha_star * (r + 1.0)
-    z0 = complex(branch_small(params, alpha_star))
-    z1 = complex(branch_large(params, alpha_star))
+    links = chain_links(params, alpha_star)
+    p_val = lam * (links[-1] if links else 0.0) + mu - alpha_star * (r + 1.0)
+    z0 = branch_small_real(params, alpha_star)
+    z1 = c * mu / (lam * z0)   # the product of the two roots is c mu / lam
     j = np.arange(n_phases)
     if case is TailCase.POLE:
         b_res = (p_val * z1 - c * mu) / (z1 - z0)
@@ -356,7 +358,7 @@ def lower_phase_tail(params: ModelParams, report: TailReport, phase: int) -> Pha
     """
     if not 0 <= phase <= params.c - 2:
         raise ValueError(f"phase {phase} is not below c-1")
-    mult = math.prod(ratio_chain_values(params, report.alpha_star)[phase:])
+    mult = math.prod(chain_links(params, report.alpha_star)[phase:])
     pref = report.prefactor * mult
     return PhaseTail(
         phase=phase,
@@ -375,9 +377,8 @@ def marginal_tail(params: ModelParams, report: TailReport) -> PhaseTail:
     bracket equals the exact sum of the per-phase prefactors.
     """
     a = report.alpha_star
-    f_at_1 = complex(density_coeff_reduced(params, a, 1.0)).real
-    bracket = f_at_1 / (-a * params.r)
-    a_vals = ratio_chain_values(params, a)
+    bracket = density_coeff_reduced(params, a, 1.0) / (-a * params.r)
+    a_vals = chain_links(params, a)
     for start in range(len(a_vals)):
         bracket += math.prod(a_vals[start:])
     pref = report.prefactor * bracket
@@ -389,7 +390,7 @@ def marginal_tail(params: ModelParams, report: TailReport) -> PhaseTail:
 
 @dataclass(frozen=True)
 class BoundaryMassTail:
-    """Residue constant and ratio of the boundary generating function.
+    """Residue constant and pole of the boundary generating function.
 
     Formal content: the generating function of the boundary masses continues
     to a simple pole at z_tilde = c*mu/lam with residue constant d_ztilde;
@@ -399,8 +400,6 @@ class BoundaryMassTail:
 
     d_ztilde: float
     z_tilde: float
-    ratio: float          # 1/z_tilde, the formal geometric damping
-    alpha_at_pole: float  # alpha(z_tilde); identically zero
 
 
 def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> BoundaryMassTail:
@@ -415,11 +414,10 @@ def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> Boundar
     xi = phase_stationary(params)
     phi0 = xi.prob(c - 1) - boundary.masses[c - 1]
     num = (
-        complex(density_coeff_reduced(params, 0.0, zt)).real * phi0
-        + complex(numerator_value(params, boundary, 0.0, zt)).real
+        density_coeff_reduced(params, 0.0, zt) * phi0
+        + numerator_value(params, boundary, 0.0, zt)
     )
-    d = num / (lam * (zt - 1.0))
-    return BoundaryMassTail(d_ztilde=d, z_tilde=zt, ratio=1.0 / zt, alpha_at_pole=0.0)
+    return BoundaryMassTail(d_ztilde=num / (lam * (zt - 1.0)), z_tilde=zt)
 
 
 def kernel_boundary(params: ModelParams) -> tuple:
@@ -429,7 +427,7 @@ def kernel_boundary(params: ModelParams) -> tuple:
     The transform numerator N is linear in the masses p_i = Pi_i(0) and must
     vanish at each of the c-1 growing zeros a < 0 of the folded coefficient
     (roots.growing_zeros).  With Q_z, R and the chain's null vector u as in
-    _numerator_terms, z = branch_small(a) and u in its pole-free form
+    _numerator_terms, z the small kernel root at a, and u in its pole-free form
 
         u_0 = 1,  lam u_{i+1} = ((c-i) a + lam + i mu) u_i - i mu u_{i-1},
 
@@ -493,8 +491,8 @@ def analyze(params: ModelParams) -> TailReport:
     c_err = rounding_err + (n_err + boundary_err) * abs(c_const)
 
     pref, power = density_prefactor(case, c_const)
-    z0 = complex(branch_small(params, alpha_star)).real
-    z1 = complex(branch_large(params, alpha_star)).real
+    z0 = branch_small_real(params, alpha_star)
+    z1 = params.c * params.mu / (params.lam * z0)
     report = TailReport(
         params=params,
         case=case,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -97,6 +98,10 @@ def cmd_solve(args) -> int:
     from . import spectral
 
     params = _params(args)
+    if args.grid_points < 1:
+        raise InvalidInputError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.grid_max is not None and not (math.isfinite(args.grid_max) and args.grid_max > 0.0):
+        raise InvalidInputError(f"--grid-max must be positive and finite, got {args.grid_max}")
     sol = spectral.solve_truncated(params, args.truncation)
     if args.format == "csv":
         top = -sol.eigenvalues[0].real
@@ -168,7 +173,7 @@ def cmd_validate(args) -> int:
     for frac in (0.1, 0.5, 0.9):
         a = frac * report.alpha_star
         phi = float(sol.transform(a)[params.c - 1])
-        analytic = asymptotics.transform_continuation(params, report.boundary, a).real
+        analytic = float(asymptotics.transform_continuation(params, report.boundary, a))
         transform_err = max(transform_err, abs(analytic - phi) / abs(phi))
     checks = {
         "spectral_rate": {"value": spectral_rate_err, "tol": tol_eig,

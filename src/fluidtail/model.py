@@ -1,4 +1,4 @@
-"""Model parameters, background-chain stationary law, stability, drift certificate.
+"""Model parameters, background stationary law, stability, boundary vector, drift certificate.
 
 The background process is the queue-length chain of an M/M/c queue (arrivals
 at rate ``lam``, per-server rate ``mu``).  The fluid level drains at rate
@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateNotFoundError, InvalidInputError, UnstableModelError
+from .errors import (
+    CertificateNotFoundError,
+    FluidTailError,
+    InvalidInputError,
+    UnstableModelError,
+)
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,48 @@ def require_stable(params: ModelParams) -> StabilityReport:
             f"unstable fluid level: (r+1)*lam = {rep.lhs} >= {rep.rhs} (mean drift {rep.mean_drift:+g})"
         )
     return rep
+
+
+@dataclass(frozen=True)
+class BoundaryVector:
+    """Stationary masses at level zero for the draining phases 0..c-1.
+
+    Phases with positive net rate carry no mass at zero, so this vector plus
+    the phase distribution determines every boundary quantity.
+    """
+
+    masses: tuple
+    source: str = "user-supplied"
+
+    def __post_init__(self):
+        m = np.asarray(self.masses, dtype=float)
+        if m.ndim != 1 or m.size < 1:
+            raise ValueError("masses must be a nonempty 1-d sequence")
+        if np.any(m < -1e-10):
+            raise ValueError(f"negative boundary mass: {m.min()}")
+        object.__setattr__(self, "masses", tuple(np.maximum(m, 0.0)))
+
+    def __getitem__(self, i: int) -> float:
+        return self.masses[i]
+
+    def __len__(self) -> int:
+        return len(self.masses)
+
+
+def checked_boundary(params: ModelParams, masses, source: str) -> BoundaryVector:
+    """BoundaryVector of the draining-phase masses of a solve, validated.
+
+    Refuses a negative mass beyond roundoff and masses that break the
+    level-zero balance lam Pi_0(0) >= mu Pi_1(0).
+    """
+    p = np.asarray(masses[: params.c], dtype=float)
+    if np.any(p < -1e-10):
+        raise FluidTailError(f"negative boundary mass from the solve: {p.min()}")
+    if params.c >= 2:
+        slack = params.lam * p[0] - params.mu * p[1]
+        if slack < -1e-9 * max(1.0, abs(p[0])):
+            raise FluidTailError(f"boundary masses violate the level-zero balance: {slack}")
+    return BoundaryVector(masses=tuple(np.maximum(p, 0.0)), source=source)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,27 @@
-"""Real zeros of the folded coefficient.
+"""The low phases' continued-fraction chain and the real zeros of the folded coefficient.
+
+Phases 0..c-2 of the transformed balance system are eliminated through a
+chain of rational functions A_0..A_{c-2},
+
+    A_i(alpha) = (i+1)*mu / ((c-i)*alpha + lam + i*mu - lam*A_{i-1}(alpha)),
+
+with A_{-1} = 0.  Note the net-rate weight (c-i) on alpha: each low phase
+drains the level at its own speed, and the weight is what the transform of
+its balance equation actually produces.  The fold turns the kernel identity
+into one with a single free density transform (phase c-1), whose
+coefficient is the folded coefficient density_coeff_reduced, and a
+numerator linear in the boundary masses (asymptotics.numerator_value).  On
+alpha >= 0 every chain value is taken from the pivots of pivot_weights,
+which have no cancellation (chain_links).
 
 The folded coefficient is f(alpha) = density_coeff_reduced(alpha,
-branch_small(alpha)).  The candidate decay rate is its unique zero inside
-(0, alpha1].  There f = alpha z^(c-1) d(alpha) with z the small branch and
-d a deflated coefficient that has neither a pole nor a cancellation at 0;
-d(0) < 0, so the sign of d at alpha1 tells whether the zero is inside, at
-alpha1 or absent, and Brent's method finds an inside zero.  d is built from
-the continued fraction's pivots (pivot_weights), which the transform
-numerator (asymptotics.numerator_value) shares.
+branch_small_real(alpha)).  The candidate decay rate is its unique zero
+inside (0, alpha1].  There f = alpha z^(c-1) d(alpha) with z the small
+branch and d a deflated coefficient that has neither a pole nor a
+cancellation at 0; d(0) < 0, so the sign of d at alpha1 tells whether the
+zero is inside, at alpha1 or absent, and Brent's method finds an inside
+zero.  d is built from the same pivots, which the transform numerator
+shares.
 
 On the negative axis f has c-1 more zeros, the negated growing eigenvalues
 of the stationary system, where the boundary masses are pinned down
@@ -23,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolatedError, FluidTailError
-from .kernel import at_double_root, branch_points, branch_small_real
+from .kernel import at_double_root, branch_points, branch_small_real, density_coeff
 from .model import ModelParams, require_stable
 
 # |d| below this (times its term scale) counts as a zero
@@ -47,29 +61,19 @@ class CoeffZero:
 
 
 def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
-    """f on a 101-point grid on (0, alpha1): the reporting scale and zero count.
-
-    The grid is evaluated as one array: the chain recursion of
-    ratio_chain_values (it has no pole for alpha > 0) and
-    density_coeff_reduced's formula on the real small branch.
-    """
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    """f on a 101-point grid on (0, alpha1): the reporting scale and zero count."""
     grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
-    a_last = 0.0
-    for i in range(c - 1):
-        a_last = (i + 1) * mu / ((c - i) * grid + lam + i * mu - lam * a_last)
-    z = branch_small_real(params, grid)
-    return (lam * a_last + mu - grid * r - grid) * z ** c - c * mu * z ** (c - 1)
+    return density_coeff_reduced(params, grid, branch_small_real(params, grid))
 
 
 def pivot_weights(params: ModelParams, alpha) -> list:
     """Weights e_0..e_{c-2} of the chain pivots den_i = lam + alpha e_i.
 
     den_i is the denominator (c-i) alpha + lam + i mu - lam A_{i-1} of the
-    continued fraction's recursion (cfrac.ratio_chain_values), rewritten
-    without its cancellation at small alpha: e_0 = c and
-    e_i = (c-i) + i mu e_{i-1} / den_{i-1}, all positive for alpha >= 0.
-    Empty for c = 1.  A complex alpha is carried through.
+    chain's recursion, rewritten without its cancellation at small alpha:
+    e_0 = c and e_i = (c-i) + i mu e_{i-1} / den_{i-1}, all positive for
+    alpha >= 0.  Empty for c = 1.  A complex alpha, or an array of them, is
+    carried through.
     """
     c, lam, mu = params.c, params.lam, params.mu
     weights = [float(c)] if c > 1 else []
@@ -77,6 +81,27 @@ def pivot_weights(params: ModelParams, alpha) -> list:
         e = weights[-1]
         weights.append((c - i) + i * mu * e / (lam + alpha * e))
     return weights
+
+
+def chain_links(params: ModelParams, alpha) -> list:
+    """The links A_0..A_{c-2} at alpha >= 0, A_i = (i+1) mu / den_i (empty for c = 1)."""
+    lam, mu = params.lam, params.mu
+    return [(i + 1) * mu / (lam + alpha * e) for i, e in enumerate(pivot_weights(params, alpha))]
+
+
+def density_coeff_reduced(params: ModelParams, alpha, z):
+    """Folded coefficient of the phase-(c-1) density transform, at alpha >= 0.
+
+    Equals lam*z^c*A_{c-2}(alpha) + density_coeff(alpha, z), with only the
+    last link taken from its pivot; for c = 1 the fold is empty and this is
+    density_coeff itself.
+    """
+    c, lam, mu = params.c, params.lam, params.mu
+    base = density_coeff(params, alpha, z)
+    if c == 1:
+        return base
+    e = pivot_weights(params, alpha)[-1]
+    return lam * z ** c * ((c - 1) * mu / (lam + alpha * e)) + base
 
 
 def _deflated(params: ModelParams, alpha: float) -> tuple:
@@ -151,7 +176,7 @@ def _folded_count(params: ModelParams, alpha: float) -> tuple:
     """(Sturm count, pole-free value) of the folded coefficient at alpha < 0.
 
     With D_i the denominator polynomial of the chain's A_i (D_{-1} = 1),
-    the recursion denominators of ratio_chain_values are the pivots
+    the denominators of the chain's recursion are the pivots
     den_i = D_i / D_{i-1}, and g = f / z^(c-1) closes them at phase c-1.
     The count is the number of negative den_i plus one if g > 0.  Across a
     chain pole one pivot and the next change sign together, so the count

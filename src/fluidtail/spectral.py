@@ -41,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
-from .cfrac import BoundaryVector, checked_boundary
 from .errors import FluidTailError, InvalidInputError
-from .model import ModelParams, require_stable
+from .model import BoundaryVector, ModelParams, checked_boundary, require_stable
 
 
 def _generator(params: ModelParams, n_phases: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The package computes the transform numerator N from the null vector of the
 draining-phase chain (asymptotics.numerator_value) and evaluates the
-continued fraction only by recursion.  This module keeps the forms the
-derivation writes down, so the tests can hold the package to them:
+continued fraction only from its pivots (roots.chain_links).  This module
+keeps the forms the derivation writes down, and shares no code with the
+package's chain, so the tests can hold the package to them:
 
 * the chain A_0..A_{c-2} as reduced rational functions (RationalFn,
   ratio_chain) and the rationalized zero polynomial built from them, for
@@ -22,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from fluidtail.cfrac import ratio_chain_values
 from fluidtail.errors import PoleError
 
 
@@ -141,7 +141,7 @@ def chain_offset(params, boundary, alpha, phase: int):
     """
     lam, mu = params.lam, params.mu
     k = source_constants(params, boundary)
-    a_vals = ratio_chain_values(params, alpha)
+    a_vals = [link(alpha) for link in ratio_chain(params)]
     acc = 0.0
     for n in range(phase + 1):
         prod = 1.0

@@ -11,11 +11,10 @@ from _forcing_oracle import (
 )
 from conftest import CASE_I_C2, CASE_III, random_stable_params
 from fluidtail.asymptotics import _derivative, kernel_boundary, numerator_value
-from fluidtail.cfrac import BoundaryVector, density_coeff_reduced, ratio_chain_value
 from fluidtail.errors import PoleError
 from fluidtail.kernel import branch_points, branch_small, density_coeff
-from fluidtail.model import ModelParams
-from fluidtail.roots import find_coeff_zero
+from fluidtail.model import BoundaryVector, ModelParams
+from fluidtail.roots import chain_links, density_coeff_reduced, find_coeff_zero
 
 
 def test_chain_first_link_c2():
@@ -60,14 +59,25 @@ def test_chain_poles_stay_left_of_zero(rng):
 
 
 def test_chain_value_matches_polynomials(rng):
-    # reduced rational evaluation vs direct recursion at 1000 points
+    # reduced rational evaluation vs the pivot form at 1000 points
     params = [random_stable_params(rng, c_choices=(2, 3, 4, 6)) for _ in range(20)]
     for p in params:
         chain = ratio_chain(p)
         for alpha in rng.uniform(0.0, 10.0, 50):
             assert chain[-1](alpha) == pytest.approx(
-                ratio_chain_value(p, alpha), rel=1e-9
+                chain_links(p, alpha)[-1], rel=1e-9
             )
+
+
+def test_chain_links_exact_at_zero():
+    # A_i(0) = (i+1) mu / lam; the direct recursion's pivots cancel at
+    # alpha = 0 and read 0.489 for A_10 on this tuple, against 175.7
+    p = ModelParams(c=12, lam=0.020069636140999738, mu=0.3205618220188776,
+                    r=2.3242678339308673)
+    links = chain_links(p, 0.0)
+    assert len(links) == p.c - 1
+    for i, link in enumerate(links):
+        assert link == pytest.approx((i + 1) * p.mu / p.lam, rel=1e-14)
 
 
 def test_chain_bounds_and_monotonicity(rng):

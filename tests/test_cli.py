@@ -249,8 +249,13 @@ def test_analyze_loads_no_scipy(tmp_path):
     ["simulate", *REFERENCE_ARGS["I"], "--stride", "0"],
     ["validate", *REFERENCE_ARGS["I"], "--samples", "0"],
     ["solve", *REFERENCE_ARGS["I"], "--truncation", "0"],
+    ["solve", *REFERENCE_ARGS["I"], "--format", "csv", "--grid-points", "-5"],
+    ["solve", *REFERENCE_ARGS["I"], "--format", "csv", "--grid-points", "0"],
+    ["solve", *REFERENCE_ARGS["I"], "--format", "csv", "--grid-max", "-3"],
+    ["solve", *REFERENCE_ARGS["I"], "--format", "csv", "--grid-max", "nan"],
 ], ids=["c0", "negative_lambda", "horizon_at_warmup", "horizon_nan", "horizon_inf",
-        "stride0", "samples0", "truncation0"])
+        "stride0", "samples0", "truncation0", "grid_points_negative", "grid_points0",
+        "grid_max_negative", "grid_max_nan"])
 def test_bad_input_gets_a_structured_error(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2

@@ -8,11 +8,10 @@ from _forcing_oracle import rationalized_zero_poly
 from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_c1, random_stable_params
 from fluidtail import roots
 from fluidtail.asymptotics import TailCase, analyze, numerator_value
-from fluidtail.cfrac import density_coeff_reduced
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
 from fluidtail.kernel import branch_large, branch_points, branch_small, branch_small_real
 from fluidtail.model import ModelParams
-from fluidtail.roots import find_coeff_zero, growing_zeros
+from fluidtail.roots import density_coeff_reduced, find_coeff_zero, growing_zeros
 
 
 def corrected_cubic_c2(p):
