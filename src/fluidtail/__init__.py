@@ -18,7 +18,6 @@ from .asymptotics import (
 from .errors import (
     AssumptionViolatedError,
     BranchCutError,
-    CertificateNotFoundError,
     FluidTailError,
     InsufficientSamplesError,
     PoleError,
@@ -27,11 +26,9 @@ from .errors import (
 from .kernel import BranchPoints, branch_large, branch_points, branch_small, kernel
 from .model import (
     BoundaryVector,
-    DriftCertificate,
     ModelParams,
     PhaseDistribution,
     StabilityReport,
-    drift_certificate,
     is_stable,
     phase_stationary,
 )
@@ -57,9 +54,7 @@ __all__ = [
     "BoundaryVector",
     "BranchCutError",
     "BranchPoints",
-    "CertificateNotFoundError",
     "CoeffZero",
-    "DriftCertificate",
     "FluidTailError",
     "InsufficientSamplesError",
     "ModelParams",
@@ -78,7 +73,6 @@ __all__ = [
     "branch_points",
     "branch_small",
     "classify",
-    "drift_certificate",
     "find_coeff_zero",
     "fit_decay",
     "fit_tail",

@@ -41,10 +41,11 @@ from .roots import (
     CoeffZero,
     _deflated,
     chain_links,
+    chain_pivots,
     density_coeff_reduced,
     find_coeff_zero,
     growing_zeros,
-    pivot_weights,
+    null_vector,
 )
 
 
@@ -82,32 +83,29 @@ def _numerator_terms(params: ModelParams, boundary: BoundaryVector, alpha, z) ->
 
     Let Q_z be the generator's block on the draining phases 0..c-1 with the
     rate lam from phase c-1 to phase c put back on the diagonal as lam z,
-    R = diag(i - c) and p the boundary masses.  The chain's null vector u,
-    u_0 = 1 and u_{i+1} / u_i = den_i / lam (den_i the pivots of
-    roots.pivot_weights), zeroes rows 0..c-2 of (Q_z + alpha R) u, and
-    folding the transform identity down the chain gives
-    N u_{c-1} / z^c = u . Q_z^T p.  With rho = row c-1 of (Q_z + alpha R) u,
+    R = diag(i - c) and p the boundary masses.  The chain's null vector u of
+    roots.null_vector zeroes rows 0..c-2 of (Q_z + alpha R) u, and folding
+    the transform identity down the chain gives N u_{c-1} / z^c = u . Q_z^T p.
+    With rho = row c-1 of (Q_z + alpha R) u,
 
         N = z^c [p_{c-1} rho - alpha sum_i (i-c) u_i p_i] / u_{c-1}
 
-    for every z, on the kernel curve or off it.  Divided by u_{c-1}, the u_i
-    are products of factors lam / den_i in (0, 1], and
+    for every z, on the kernel curve or off it.  Over u_{c-1}, the u_i are
+    products of factors lam / den_i in (0, 1], and with the pivots den_i
+    and last weight e_{c-2} of roots.chain_pivots,
     rho / u_{c-1} = lam z - lam - alpha (1 + (c-1) mu e_{c-2} / den_{c-2}).
     The terms returned are z^c p_{c-1} times the three terms of that, and
     the sum, whose terms all have one sign.
     """
     c, lam, mu = params.c, params.lam, params.mu
     p = boundary.masses
-    weights = pivot_weights(params, alpha)
-    v, drain = [1.0], 1.0   # v[k] = u_{c-1-k} / u_{c-1}
-    for e in reversed(weights):
-        v.append(v[-1] * lam / (lam + alpha * e))
-    if weights:
-        e = weights[-1]
-        drain += (c - 1) * mu * e / (lam + alpha * e)
+    dens, e = chain_pivots(params, alpha)
+    u = null_vector(lam, dens)
+    # alpha = 0 drops the drain term, also where e_{c-2} is past the double range
+    drain = 1.0 + (c - 1) * mu * e / dens[-1] if dens and alpha else 1.0
     zc = z ** c
     top = zc * p[c - 1]
-    s = sum((c - i) * v[c - 1 - i] * p[i] for i in range(c))
+    s = sum((c - i) * u[i] * p[i] for i in range(c))
     return top * lam * z, -top * lam, -top * alpha * drain, alpha * zc * s
 
 
@@ -427,30 +425,25 @@ def kernel_boundary(params: ModelParams) -> tuple:
     The transform numerator N is linear in the masses p_i = Pi_i(0) and must
     vanish at each of the c-1 growing zeros a < 0 of the folded coefficient
     (roots.growing_zeros).  With Q_z, R and the chain's null vector u as in
-    _numerator_terms, z the small kernel root at a, and u in its pole-free form
-
-        u_0 = 1,  lam u_{i+1} = ((c-i) a + lam + i mu) u_i - i mu u_{i-1},
-
-    N u_{c-1} / z^c is u . Q_z^T p.  Row c-1 of (Q_z + a R) u vanishes
-    exactly where f does, so there u . Q_z^T p = -a sum_i (i-c) u_i p_i.
-    Each growing zero thus gives the R-orthogonality row
-    sum_i (i-c) u_i p_i = 0, and the zero mode (a = 0, u = 1) gives
-    sum_i (i-c) p_i = mean drift; for c = 1 that alone reads
-    Pi_0(0) = -mean drift.  As in spectral.solve_truncated the c x c system
-    is solved for t_i = Pi_i(0) / xi_i, after scaling each row to unit
-    max-norm.  The error estimate is the system's 1-norm condition number
-    times its componentwise backward error (at least machine epsilon).  The
-    recurrence for u loses digits as c grows, fastest at low load; an
-    estimate above _MAX_RTOL raises FluidTailError.
+    _numerator_terms, z the small kernel root at a, N u_{c-1} / z^c is
+    u . Q_z^T p.  Row c-1 of (Q_z + a R) u vanishes exactly where f does, so
+    there u . Q_z^T p = -a sum_i (i-c) u_i p_i.  Each growing zero thus gives
+    the R-orthogonality row sum_i (i-c) u_i p_i = 0, and the zero mode
+    (a = 0, u = 1) gives sum_i (i-c) p_i = mean drift; for c = 1 that alone
+    reads Pi_0(0) = -mean drift.  u comes from the pivots, at all c-1 zeros
+    in one call.  As in spectral.solve_truncated the c x c system is solved
+    for t_i = Pi_i(0) / xi_i, after scaling each row to unit max-norm.  The
+    error estimate is the system's 1-norm condition number times its
+    componentwise backward error (at least machine epsilon).  The system
+    loses digits as c grows, fastest at low load; an estimate above
+    _MAX_RTOL raises FluidTailError.
     """
-    c, lam, mu = params.c, params.lam, params.mu
+    c = params.c
     i = np.arange(c)
     u = np.ones((c, c))
     if c > 1:
-        a = growing_zeros(params)
-        u[1:, 1] = (c * a + lam) / lam
-        for n in range(1, c - 1):
-            u[1:, n + 1] = (((c - n) * a + lam + n * mu) * u[1:, n] - n * mu * u[1:, n - 1]) / lam
+        dens, _ = chain_pivots(params, growing_zeros(params))
+        u[1:, :-1] = np.transpose(null_vector(params.lam, dens)[:-1])
     xi = phase_stationary(params).probs(c)
     system = u * ((i - c) * xi)
     rhs = np.zeros(c)

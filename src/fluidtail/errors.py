@@ -9,10 +9,6 @@ class UnstableModelError(FluidTailError):
     """The fluid level has no stationary distribution for these parameters."""
 
 
-class CertificateNotFoundError(FluidTailError):
-    """No exponential drift certificate of the searched form exists."""
-
-
 class BranchCutError(FluidTailError):
     """Branch evaluation requested on the discriminant cut."""
 

@@ -1,4 +1,4 @@
-"""Model parameters, background stationary law, stability, boundary vector, drift certificate.
+"""Model parameters, background stationary law, stability, boundary vector.
 
 The background process is the queue-length chain of an M/M/c queue (arrivals
 at rate ``lam``, per-server rate ``mu``).  The fluid level drains at rate
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificateNotFoundError,
-    FluidTailError,
-    InvalidInputError,
-    UnstableModelError,
-)
+from .errors import FluidTailError, InvalidInputError, UnstableModelError
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ def phase_stationary(params: ModelParams) -> PhaseDistribution:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Verdict on stationarity of the fluid level, with both certificates."""
+    """Verdict on stationarity of the fluid level, with both forms of the condition."""
 
     stable: bool
     lhs: float          # (r+1)*lam
@@ -209,86 +204,6 @@ def checked_boundary(params: ModelParams, masses, source: str) -> BoundaryVector
         if slack < -1e-9 * max(1.0, abs(p[0])):
             raise FluidTailError(f"boundary masses violate the level-zero balance: {slack}")
     return BoundaryVector(masses=tuple(np.maximum(p, 0.0)), source=source)
-
-
-@dataclass(frozen=True)
-class DriftCertificate:
-    """Witness (alpha, z, s, b) of the exponential drift inequality.
-
-    With V(x, i) = exp(alpha*x) * z**i the extended generator satisfies
-    A V <= -s V + b * 1{x = 0, i < c}, which certifies a positive exponential
-    moment of the stationary level (decay rate at least alpha).
-    """
-
-    alpha: float
-    z: float
-    s: float
-    b: float
-
-
-def _certificate_margins(params: ModelParams, alpha: float, z: float) -> np.ndarray:
-    """All drift margins at (alpha, z); the certificate needs min > 0."""
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    margins = [lam + c * mu - alpha * r - lam * z - c * mu / z]
-    for i in range(c):
-        margins.append((c - i) * alpha + lam + i * mu - lam * z - i * mu / z)
-    return np.asarray(margins)
-
-
-def _feasible_z_interval(params: ModelParams, alpha: float):
-    """Open z-interval where every margin is positive, or None."""
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    b = -alpha * r + lam + c * mu
-    disc = b * b - 4.0 * c * lam * mu
-    if disc <= 0.0:
-        return None
-    z_low = (b - math.sqrt(disc)) / (2.0 * lam)
-    z_high = (b + math.sqrt(disc)) / (2.0 * lam)
-    for i in range(c):
-        bi = lam + i * mu + (c - i) * alpha
-        disc_i = bi * bi - 4.0 * i * lam * mu
-        if disc_i <= 0.0:
-            return None
-        w_low = (bi - math.sqrt(disc_i)) / (2.0 * lam)
-        w_high = (bi + math.sqrt(disc_i)) / (2.0 * lam)
-        z_low, z_high = max(z_low, w_low), min(z_high, w_high)
-    z_low = max(z_low, 1.0)
-    return (z_low, z_high) if z_low < z_high else None
-
-
-def drift_certificate(params: ModelParams, n_grid: int = 400) -> DriftCertificate:
-    """Search for an exponential drift certificate.
-
-    Scans alpha over (0, alpha1), where alpha1 is the branch point of the
-    kernel discriminant (feasibility requires the kernel to be positive
-    between its roots), takes z at the midpoint of the feasible interval and
-    returns the grid point with the largest margin s.  Raises
-    CertificateNotFoundError when no (alpha, z) qualifies; this can happen
-    for stable parameter tuples with large r and c >= 2, where no certificate
-    of this two-parameter form exists.  (r+1)*lam < c*mu guarantees success.
-    """
-    require_stable(params)
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    alpha1 = (math.sqrt(c * mu) - math.sqrt(lam)) ** 2 / r
-    best = None
-    for t in np.linspace(1e-4, 1.0 - 1e-9, n_grid):
-        alpha = t * alpha1
-        box = _feasible_z_interval(params, alpha)
-        if box is None:
-            continue
-        z = 0.5 * (box[0] + box[1])
-        s = float(_certificate_margins(params, alpha, z).min())
-        if s > 0.0 and (best is None or s > best.s):
-            i = np.arange(c)
-            boundary_growth = s - (lam + i * mu - lam * z - i * mu / z)
-            b = float(max(0.0, (z ** i * boundary_growth).max()))
-            best = DriftCertificate(alpha=alpha, z=z, s=s, b=b)
-    if best is None:
-        raise CertificateNotFoundError(
-            "no (alpha, z) drift certificate of the form exp(alpha*x)*z**i exists "
-            f"for c={c}, lam={lam}, mu={mu}, r={r}"
-        )
-    return best
 
 
 def _log_factorials(n: int) -> np.ndarray:

@@ -1,18 +1,21 @@
 """The low phases' continued-fraction chain and the real zeros of the folded coefficient.
 
 Phases 0..c-2 of the transformed balance system are eliminated through a
-chain of rational functions A_0..A_{c-2},
+chain of rational functions A_i = (i+1)*mu / den_i, i = 0..c-2, with pivots
 
-    A_i(alpha) = (i+1)*mu / ((c-i)*alpha + lam + i*mu - lam*A_{i-1}(alpha)),
+    den_i = (c-i)*alpha + lam + i*mu - lam*A_{i-1}(alpha),   A_{-1} = 0.
 
-with A_{-1} = 0.  Note the net-rate weight (c-i) on alpha: each low phase
-drains the level at its own speed, and the weight is what the transform of
-its balance equation actually produces.  The fold turns the kernel identity
-into one with a single free density transform (phase c-1), whose
-coefficient is the folded coefficient density_coeff_reduced, and a
-numerator linear in the boundary masses (asymptotics.numerator_value).  On
-alpha >= 0 every chain value is taken from the pivots of pivot_weights,
-which have no cancellation (chain_links).
+Note the net-rate weight (c-i) on alpha: each low phase drains the level at
+its own speed, and the weight is what the transform of its balance equation
+actually produces.  The fold turns the kernel identity into one with a
+single free density transform (phase c-1), whose coefficient is the folded
+coefficient density_coeff_reduced, and a numerator linear in the boundary
+masses (asymptotics.numerator_value).  Only chain_pivots computes pivots, as
+den_i = lam + alpha e_i with e_0 = c and e_i = (c-i) + i mu e_{i-1} / den_{i-1}:
+valid on the whole real axis and under complex steps, and without
+cancellation on alpha >= 0, where every e_i is positive.  The links, the
+last link in f and in d, the null vector (null_vector) and the Sturm count
+are all read from them.
 
 The folded coefficient is f(alpha) = density_coeff_reduced(alpha,
 branch_small_real(alpha)).  The candidate decay rate is its unique zero
@@ -20,19 +23,19 @@ inside (0, alpha1].  There f = alpha z^(c-1) d(alpha) with z the small
 branch and d a deflated coefficient that has neither a pole nor a
 cancellation at 0; d(0) < 0, so the sign of d at alpha1 tells whether the
 zero is inside, at alpha1 or absent, and Brent's method finds an inside
-zero.  d is built from the same pivots, which the transform numerator
-shares.
+zero.
 
 On the negative axis f has c-1 more zeros, the negated growing eigenvalues
 of the stationary system, where the boundary masses are pinned down
-(asymptotics.kernel_boundary).  A Sturm count of the chain's pivots
-isolates each of them, and Brent's method finds it.
+(asymptotics.kernel_boundary).  A Sturm count of the pivots isolates each
+of them, and Brent's method finds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .model import ModelParams, require_stable
 # |d| below this (times its term scale) counts as a zero
 _ZERO_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 _MAX_BISECTIONS = 200   # enough to shrink any double interval to a few ulps
 
 
@@ -66,31 +68,42 @@ def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
     return density_coeff_reduced(params, grid, branch_small_real(params, grid))
 
 
-def pivot_weights(params: ModelParams, alpha) -> list:
-    """Weights e_0..e_{c-2} of the chain pivots den_i = lam + alpha e_i.
+def chain_pivots(params: ModelParams, alpha) -> tuple:
+    """(den_0..den_{c-2}, e_{c-2}): the chain's pivots and its last weight at alpha.
 
-    den_i is the denominator (c-i) alpha + lam + i mu - lam A_{i-1} of the
-    chain's recursion, rewritten without its cancellation at small alpha:
-    e_0 = c and e_i = (c-i) + i mu e_{i-1} / den_{i-1}, all positive for
-    alpha >= 0.  Empty for c = 1.  A complex alpha, or an array of them, is
-    carried through.
+    A complex alpha, or an array of them, is carried through.  For a real
+    alpha two rules hold.  At alpha = 0 every pivot is lam, also where the
+    weights, products of about i mu / lam there, pass the double range.  A
+    pivot that is exactly 0 is taken as -eps lam, within its rounding: it
+    counts as negative and keeps the next weight finite.
     """
     c, lam, mu = params.c, params.lam, params.mu
-    weights = [float(c)] if c > 1 else []
-    for i in range(1, c - 1):
-        e = weights[-1]
-        weights.append((c - i) + i * mu * e / (lam + alpha * e))
-    return weights
+    real = isinstance(alpha, float)
+    at_zero = real and alpha == 0.0
+    dens, e, den = [], float(c), 1.0
+    for i in range(c - 1):
+        if i:
+            e = (c - i) + i * mu * e / den
+        den = lam if at_zero else lam + alpha * e
+        if real and den == 0.0:
+            den = -_EPS * lam
+        dens.append(den)
+    return dens, e
 
 
 def chain_links(params: ModelParams, alpha) -> list:
-    """The links A_0..A_{c-2} at alpha >= 0, A_i = (i+1) mu / den_i (empty for c = 1)."""
-    lam, mu = params.lam, params.mu
-    return [(i + 1) * mu / (lam + alpha * e) for i, e in enumerate(pivot_weights(params, alpha))]
+    """The links A_0..A_{c-2}, A_i = (i+1) mu / den_i (empty for c = 1)."""
+    mu = params.mu
+    return [(i + 1) * mu / den for i, den in enumerate(chain_pivots(params, alpha)[0])]
+
+
+def null_vector(lam: float, dens: list) -> list:
+    """The chain's null vector over its last entry: u_i / u_{c-1} = prod_{j >= i} lam / den_j."""
+    return list(accumulate(reversed(dens), lambda u, den: u * lam / den, initial=1.0))[::-1]
 
 
 def density_coeff_reduced(params: ModelParams, alpha, z):
-    """Folded coefficient of the phase-(c-1) density transform, at alpha >= 0.
+    """Folded coefficient of the phase-(c-1) density transform.
 
     Equals lam*z^c*A_{c-2}(alpha) + density_coeff(alpha, z), with only the
     last link taken from its pivot; for c = 1 the fold is empty and this is
@@ -100,15 +113,14 @@ def density_coeff_reduced(params: ModelParams, alpha, z):
     base = density_coeff(params, alpha, z)
     if c == 1:
         return base
-    e = pivot_weights(params, alpha)[-1]
-    return lam * z ** c * ((c - 1) * mu / (lam + alpha * e)) + base
+    return lam * z ** c * ((c - 1) * mu / chain_pivots(params, alpha)[0][-1]) + base
 
 
 def _deflated(params: ModelParams, alpha: float) -> tuple:
     """(d, term scale of d) at alpha in [0, alpha1], with f = alpha z^(c-1) d.
 
-    With the chain pivots den_i = lam + alpha e_i of pivot_weights and the
-    kernel's z - 1 = alpha r z / (c mu - lam z), dividing alpha out of f
+    With the last pivot den_{c-2} = lam + alpha e_{c-2} of chain_pivots and
+    the kernel's z - 1 = alpha r z / (c mu - lam z), dividing alpha out of f
     leaves
 
         d = z [c mu r / (c mu - lam z) - (r+1) - (c-1) mu e_{c-2} / den_{c-2}]
@@ -120,10 +132,8 @@ def _deflated(params: ModelParams, alpha: float) -> tuple:
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     z = branch_small_real(params, alpha)
     drift = c * mu * r / (c * mu - lam * z)
-    chain = 0.0
-    if c > 1:
-        e = pivot_weights(params, alpha)[-1]
-        chain = (c - 1) * mu * e / (lam + alpha * e)
+    dens, e = chain_pivots(params, alpha)
+    chain = (c - 1) * mu * e / dens[-1] if dens else 0.0
     return z * (drift - (r + 1.0) - chain), z * (drift + (r + 1.0) + chain)
 
 
@@ -176,15 +186,14 @@ def _folded_count(params: ModelParams, alpha: float) -> tuple:
     """(Sturm count, pole-free value) of the folded coefficient at alpha < 0.
 
     With D_i the denominator polynomial of the chain's A_i (D_{-1} = 1),
-    the denominators of the chain's recursion are the pivots
-    den_i = D_i / D_{i-1}, and g = f / z^(c-1) closes them at phase c-1.
-    The count is the number of negative den_i plus one if g > 0.  Across a
-    chain pole one pivot and the next change sign together, so the count
-    only changes where g has a zero: it is c at alpha = -2 (lam + c mu) and
-    falls by one at each growing zero, to 1 just below alpha = 0.  As in a
-    Sturm sequence, the computed pivots are the exact ones of slightly
-    perturbed rates, so the count stays right however close a zero lies to
-    a pole.
+    the pivots of chain_pivots are den_i = D_i / D_{i-1}, and
+    g = f / z^(c-1) closes them at phase c-1.  The count is the number of
+    negative den_i plus one if g > 0.  Across a chain pole one pivot and the
+    next change sign together, so the count only changes where g has a
+    zero: it is c at alpha = -2 (lam + c mu) and falls by one at each
+    growing zero, to 1 just below alpha = 0.  As in a Sturm sequence, the
+    computed pivots are the exact ones of slightly perturbed rates, so the
+    count stays right however close a zero lies to a pole.
 
     The value is D_{c-2} g, the pole-free product f D_{c-2} / z^(c-1),
     divided by a positive factor that keeps it finite for large c.  It is
@@ -194,10 +203,7 @@ def _folded_count(params: ModelParams, alpha: float) -> tuple:
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
     scale = abs(alpha) + lam + c * mu
     count, value, den = 0, 1.0, 1.0
-    for i in range(c - 1):
-        den = (c - i) * alpha + lam + i * mu - (lam * i * mu / den if i else 0.0)
-        if den == 0.0:
-            den = -_TINY   # a pivot that is exactly zero counts as negative
+    for i, den in enumerate(chain_pivots(params, alpha)[0]):
         count += den < 0.0
         value *= den / ((c - i) * scale)
     z = branch_small_real(params, alpha)

@@ -2,9 +2,10 @@
 
 The package computes the transform numerator N from the null vector of the
 draining-phase chain (asymptotics.numerator_value) and evaluates the
-continued fraction only from its pivots (roots.chain_links).  This module
-keeps the forms the derivation writes down, and shares no code with the
-package's chain, so the tests can hold the package to them:
+continued fraction only from its pivots (roots.chain_pivots).  This module
+keeps the forms the derivation writes down, the chain's direct recursion
+among them, and shares no code with the package's chain, so the tests can
+hold the package to them:
 
 * the chain A_0..A_{c-2} as reduced rational functions (RationalFn,
   ratio_chain) and the rationalized zero polynomial built from them, for

@@ -67,6 +67,16 @@ def test_chain_value_matches_polynomials(rng):
             assert chain[-1](alpha) == pytest.approx(
                 chain_links(p, alpha)[-1], rel=1e-9
             )
+    # and on the negative axis down to -2 (lam + c mu), off the poles of every link
+    for p in params:
+        chain = ratio_chain(p)
+        poles = np.concatenate([link.den_roots() for link in chain])
+        for alpha in rng.uniform(-2.0 * (p.lam + p.c * p.mu), 0.0, 50):
+            if np.any(np.abs(alpha - poles) < 1e-6 * np.abs(poles)):
+                continue
+            assert chain[-1](alpha) == pytest.approx(
+                chain_links(p, alpha)[-1], rel=1e-9
+            )
 
 
 def test_chain_links_exact_at_zero():

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import CASE_I, random_stable_params
-from fluidtail.errors import CertificateNotFoundError, UnstableModelError
-from fluidtail.model import (
-    ModelParams,
-    _certificate_margins,
-    drift_certificate,
-    is_stable,
-    phase_stationary,
-)
+from fluidtail.errors import UnstableModelError
+from fluidtail.model import ModelParams, is_stable, phase_stationary
 
 
 def test_params_validation():
@@ -100,61 +94,6 @@ def test_stability_examples():
     boundary = is_stable(ModelParams(c=1, lam=1.0, mu=3.0, r=2.0))
     assert not boundary.stable
     assert boundary.mean_drift == pytest.approx(0.0, abs=1e-14)
-
-
-def test_drift_certificate_case1():
-    cert = drift_certificate(CASE_I)
-    assert cert.s > 0.0 and cert.z > 1.0 and 0.0 < cert.alpha < 0.5359
-    assert _certificate_margins(CASE_I, cert.alpha, cert.z).min() == pytest.approx(cert.s)
-
-
-def test_drift_certificate_grid(rng):
-    # every returned certificate is valid; feasibility is guaranteed under
-    # the strong condition (r+1)*lam < c*mu (always true for stable c=1)
-    found, skipped = 0, 0
-    while found + skipped < 60:
-        p = random_stable_params(rng)
-        try:
-            cert = drift_certificate(p, n_grid=160)
-        except CertificateNotFoundError:
-            assert (p.r + 1.0) * p.lam >= p.c * p.mu
-            skipped += 1
-            continue
-        found += 1
-        assert cert.s > 0.0 and cert.z > 1.0
-        margins = _certificate_margins(p, cert.alpha, cert.z)
-        assert margins.min() >= cert.s - 1e-12
-        assert cert.b >= 0.0
-    assert found >= 20
-
-
-def test_drift_certificate_infeasible_tuple():
-    # stable, but no certificate of the exp(alpha x) z^i form exists
-    p = ModelParams(c=2, lam=0.9, mu=1.0, r=3.0)
-    assert is_stable(p).stable
-    with pytest.raises(CertificateNotFoundError):
-        drift_certificate(p)
-
-
-def test_certificate_inequality_pointwise():
-    # A V <= -s V + b 1{x=0, i<c} evaluated directly from the generator action
-    p = ModelParams(c=2, lam=1.0, mu=1.5, r=0.4)
-    cert = drift_certificate(p)
-    lam, mu, c, r = p.lam, p.mu, p.c, p.r
-    al, z, s, b = cert.alpha, cert.z, cert.s, cert.b
-
-    def gen_v(x, i):
-        rate_i = p.net_rate(i)
-        v = math.exp(al * x) * z ** i
-        jump = lam * (z - 1.0) + min(i, c) * mu * (1.0 / z - 1.0)
-        drift = rate_i * al if (x > 0 or rate_i >= 0) else 0.0
-        return v * (drift + jump)
-
-    for x in (0.0, 0.3, 2.0, 7.5):
-        for i in range(0, 12):
-            v = math.exp(al * x) * z ** i
-            indicator = b if (x == 0.0 and i < c) else 0.0
-            assert gen_v(x, i) <= -s * v + indicator + 1e-9 * v
 
 
 def test_log_factorials_match_gammaln():

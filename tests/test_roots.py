@@ -189,6 +189,20 @@ def test_zero_search_large_c_has_no_false_zero():
         assert rep.alpha_star == branch_points(p).alpha1
 
 
+def test_zero_search_where_the_chain_weights_overflow_at_zero():
+    # at alpha = 0 the chain's weights grow like products of i mu / lam and pass the
+    # double range on this tuple; the pivots there stay lam, so d(0) is -inf, not nan.
+    # Case III: the truncated pencil's rate, 467.58 at 800 phases and 467.55 at 1200,
+    # falls toward alpha1 = 467.544.
+    p = ModelParams(c=500, lam=50.0, mu=1.0, r=0.5)
+    zero = find_coeff_zero(p)
+    assert zero.alpha is None
+    with pytest.raises(FluidTailError) as refusal:
+        analyze(p)
+    assert "nan" not in str(refusal.value)
+    assert roots.chain_pivots(p, 0.0)[0] == [p.lam] * (p.c - 1)
+
+
 def test_zero_search_light_load_large_r_stays_on_the_real_branch():
     # at the rounded alpha1 the discriminant comes out negative, by more than the
     # double-root tolerance of its scale (-3.5e-18 against b^2 = 2.4e-5 for c=2): the
@@ -341,6 +355,20 @@ def test_growing_zeros_are_pencil_eigenvalues(rng):
             assert h_left * h_right < 0.0
         s_up = np.sort(_pencil_growing_eigenvalues(p))[::-1]
         np.testing.assert_allclose(-zeros, s_up, rtol=1e-10)
+
+
+def test_folded_count_at_an_exact_zero_pivot():
+    # den_0 = lam + alpha c is exactly 0 at alpha = -lam / c; the pivot counts as
+    # negative and the pole-free value stays continuous through it
+    for c, lam, mu in [(3, 3.0, 1.5), (4, 4.0, 1.0), (6, 6.0, 2.0)]:
+        p = ModelParams(c=c, lam=lam, mu=mu, r=1.0)
+        assert roots.chain_pivots(p, -1.0 - 1e-12)[0][0] < 0.0
+        n_left, h_left = roots._folded_count(p, -1.0 - 1e-12)
+        n_mid, h_mid = roots._folded_count(p, -1.0)
+        n_right, h_right = roots._folded_count(p, -1.0 + 1e-12)
+        assert n_left == n_mid == n_right
+        assert h_mid == pytest.approx(h_left, rel=1e-9)
+        assert h_mid == pytest.approx(h_right, rel=1e-9)
 
 
 def test_growing_zeros_refuse_a_wrong_count(monkeypatch):
