@@ -1,14 +1,17 @@
 """Chunk-vectorized engine of the event-driven simulator.
 
 `advance` moves one sample path of the (phase, level) process through one
-chunk of pre-drawn exponentials.  Event k of the chunk waits `exps[k] / rate`
-and jumps up iff `u_k * rate < lam`, where `rate = lam + min(phase, c) mu`
-and u_k is the k-th uniform of the chunk; the event cut by the horizon is
-not consumed.  Event times, levels and samples are whole-array operations
-over sub-blocks of at most `_BLOCK` events, and each sub-block's uniforms
-are drawn as it is built, into one reused buffer.  Once the horizon is in
-sight, a sub-block is sized from the time left and the event rate so far,
-so that few events are built (and few uniforms drawn) past the horizon.
+chunk of events.  Event k of the chunk waits `e_k / rate` and jumps up iff
+`u_k * rate < lam`, where `rate = lam + min(phase, c) mu` and e_k and u_k
+are the k-th exponential and uniform of the chunk; the event cut by the
+horizon is not consumed.  Event times, levels and samples are whole-array
+operations over sub-blocks of at most `_BLOCK` events, and each
+sub-block's exponentials and uniforms are drawn as it is built, into
+reused buffers: the simulator passes a generator that replays the chunk's
+exponentials (see `simulate`).  The samples of a sub-block are taken in
+pieces of at most `_BLOCK` grid points.  Once the horizon is in sight, a
+sub-block is sized from the time left and the event rate so far, so that
+few events are built (and few draws made) past the horizon.
 
 Events and samples are both in time order, so `_sample_events` finds each
 stride sample's event from per-event sample counts (an even-stride guess,
@@ -42,8 +45,9 @@ import numpy as np
 # perfbench/worker.py reports the engine from this flag; the engine is numpy only
 USE_NUMBA = False
 
-_BLOCK = 1 << 16   # events per sub-block: bounds the size of every temporary
-_ALWAYS_UP = 1 << 62
+_BLOCK = 1 << 16   # events per sub-block and grid points per sample piece: bounds the size of
+                   # every buffer and temporary, whatever the chunk, horizon and stride
+_ALWAYS_UP = 1 << 30
 _ROW = 64          # events per lockstep row: even, so every row starts at the parity of row 0,
                    # and a multiple of _CHECK
 _ROUNDS = 3        # stitch rounds before the sequential finish
@@ -54,10 +58,10 @@ def _thresholds(u, lam, rates, c):
     """Per-event thresholds of the phase walk: up iff phase < threshold.
 
     Up iff min(x, c) < m, m = #{j <= c : u rates[j] < lam}; m = c + 1 is up for
-    all x and becomes `_ALWAYS_UP`.
+    all x and becomes `_ALWAYS_UP`.  Phases and thresholds are int32.
     """
-    m = np.zeros(u.shape[0], np.int64)
-    for rate in rates:
+    m = np.ones(u.shape[0], np.int32)   # u rates[0] = u lam < lam for every u < 1
+    for rate in rates[1:]:
         m += u * rate < lam
     m[m > c] = _ALWAYS_UP
     return m
@@ -81,7 +85,7 @@ def _rerun(path, th, cols, starts):
     """Re-run the columns `cols` of `path` from new starts, each until it meets its old path."""
     path[0, cols] = starts
     for j in range(0, th.shape[0], _CHECK):
-        seg = np.empty((_CHECK + 1, cols.size), np.int64)
+        seg = np.empty((_CHECK + 1, cols.size), path.dtype)
         seg[0] = path[j, cols]
         _lockstep(seg, th[j:j + _CHECK, cols])
         moved = seg[-1] != path[j + _CHECK, cols]
@@ -105,11 +109,11 @@ def _phase_path(th, x0, c):
     """
     n = th.shape[0]
     rows = -(-n // _ROW)
-    thr = np.empty((_ROW, rows), np.int64)
+    thr = np.empty((_ROW, rows), np.int32)
     thr[:, :-1] = th[:(rows - 1) * _ROW].reshape(rows - 1, _ROW).T
     thr[:, -1] = _ALWAYS_UP
     thr[:n - (rows - 1) * _ROW, -1] = th[(rows - 1) * _ROW:]
-    path = np.empty((_ROW + 1, rows), np.int64)
+    path = np.empty((_ROW + 1, rows), np.int32)
     path[0] = x0 & 1
     path[0, 0] = x0
     _lockstep(path, thr)
@@ -145,7 +149,7 @@ def _phase_path(th, x0, c):
                 path[:, r] = col
                 end = col[-1]
     del thr   # freed before the output is built, which keeps the peak memory near the recursion's
-    xs = np.empty(rows * _ROW + 1, np.int64)
+    xs = np.empty(rows * _ROW + 1, np.int32)
     xs[:-1].reshape(rows, _ROW)[:] = path[:-1].T
     xs[-1] = path[-1, -1]
     return xs[:n + 1]
@@ -189,83 +193,103 @@ def _sample_events(ends, ts, stride):
 
 
 def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
-            lam, mu, c, r, exps, uniforms, out_level, out_phase, max_phase):
-    """Advance through one chunk of randomness; returns the updated state.
+            lam, mu, c, r, exps, uniforms, chunk, out_level, out_phase, max_phase):
+    """Advance through one chunk of `chunk` events; returns the updated state.
 
     Returns `(phase, level, t, next_sample, n_written, used)`, `used` being
-    the number of events consumed.  Each sub-block draws its uniforms, one
-    per event built, by `uniforms.random(out=buf)` (a `numpy.random.Generator`
-    or anything that fills `buf` in the same order).  A chunk that runs out
-    before the horizon has drawn exactly `used` uniforms, as many as it has
-    exponentials, so the generator stands where a whole-chunk draw would
-    have left it.  Between jumps the level moves linearly at the phase's net
-    rate and is clamped at zero exactly: a sample landing after the hitting
-    time reads zero, not a negative excursion.  Samples are taken every
-    `stride` time units after `warmup`, on a grid that is a running sum from
-    `next_sample`, and each is read on its event interval
-    (`_sample_events`); phases above `max_phase` are written as `max_phase`.
+    the number of events consumed.  Each sub-block draws its exponentials
+    and its uniforms, one of each per event built, by
+    `exps.standard_exponential(out=buf)` and `uniforms.random(out=buf)`
+    (`numpy.random.Generator`s, or anything that fills `buf` in the same
+    order).  A chunk that runs out before the horizon has drawn exactly
+    `used` = `chunk` of each, so both stand where a whole-chunk draw would
+    have left them.  Between jumps the level moves linearly at the phase's
+    net rate and is clamped at zero exactly: a sample landing after the
+    hitting time reads zero, not a negative excursion.  Samples are taken
+    every `stride` time units after `warmup`, on a grid that is a running
+    sum from `next_sample`, built at most `_BLOCK` points at a time; each is
+    read on its event interval (`_sample_events`), and phases above
+    `max_phase` are written as `max_phase`.
     """
     rates = lam + np.arange(c + 1) * mu
-    buf = np.empty(_BLOCK)
+    # rate and net rate of phases 0..c; every phase from c up moves as c
+    table = np.stack((rates, np.append(np.arange(-c, 0.0), r)))
+    ubuf, ebuf, sbuf = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
     used, t0, size = 0, t, _BLOCK
-    while used < exps.shape[0] and t < t_end:
-        k1 = min(used + size, exps.shape[0])
-        us = uniforms.random(out=buf[:k1 - used])
+    while used < chunk and t < t_end:
+        n = min(size, chunk - used)
+        us = uniforms.random(out=ubuf[:n])
         xs = _phase_path(_thresholds(us, lam, rates, c), phase, c)
         x = xs[:-1]
-        tau = exps[used:k1] / rates[np.minimum(x, c)]
-        net = np.where(x < c, (x - c).astype(float), r)
-        times = np.cumsum(np.concatenate(([t], tau)))
+        rate, net = table.take(np.minimum(x, c), axis=1)
+        tau = exps.standard_exponential(out=ebuf[:n])
+        tau /= rate
+        times = np.empty(n + 1)
+        times[0] = t
+        times[1:] = tau
+        np.cumsum(times, out=times)
 
-        n = tau.shape[0]
         hit = int(np.searchsorted(times[1:], t_end, side="left"))
         if hit < n:
             # event `hit` reaches the horizon; one cut short is not consumed
             n = hit + 1
-            tau = tau[:n].copy()
+            tau = tau[:n]
             if times[n] == t_end:
                 consumed = n
             else:
                 consumed = hit
                 tau[-1] = t_end - times[hit]
-            ends = times[1:n + 1].copy()
-            ends[-1] = t_end
+            times[n] = t_end
             phase = int(xs[hit])
         else:
             consumed = n
-            ends = times[1:]
             phase = int(xs[n])
-        starts = times[:n]
+        starts, ends = times[:n], times[1:n + 1]
         x, net = x[:n], net[:n]
 
         # levels at each event start, by the Lindley form of the clamped walk
-        walk = np.cumsum(np.concatenate(([0.0], net * tau)))
-        levels = np.maximum(walk + np.maximum(level, -np.minimum.accumulate(walk)), 0.0)
+        walk = np.empty(n + 1)
+        walk[0] = 0.0
+        np.multiply(net, tau, out=walk[1:])
+        np.cumsum(walk, out=walk)
+        levels = np.minimum.accumulate(walk)
+        np.negative(levels, out=levels)
+        np.maximum(level, levels, out=levels)
+        np.add(walk, levels, out=levels)
+        np.maximum(levels, 0.0, out=levels)
+        del walk
 
-        # samples in (t, ends[-1]], each read on the event interval holding it
+        # samples in (t, ends[-1]], a piece of at most _BLOCK grid points at a time, each
+        # read on the event interval holding it
         t_last = float(ends[-1])
-        n_samples = max(int((t_last - next_sample) / stride), 0) + 2
         while True:
-            st = np.full(n_samples, stride)
+            m = min(_BLOCK, max(int((t_last - next_sample) / stride), 0) + 2)
+            st = sbuf[:m]
+            st.fill(stride)
             st[0] = next_sample
             np.cumsum(st, out=st)
-            if st[-1] > t_last:
+            due = int(np.searchsorted(st, t_last, side="right"))
+            w0 = int(np.searchsorted(st[:due], warmup, side="right"))
+            q = min(due, w0 + out_level.shape[0] - n_written)
+            if q > w0:
+                ts = st[w0:q]
+                # the events that hold the piece's first and last samples
+                lo = int(np.searchsorted(ends[:-1], ts[0], side="left"))
+                hi = int(np.searchsorted(ends[:-1], ts[-1], side="left")) + 1
+                ev = _sample_events(ends[lo:hi], ts, stride)
+                y = ts - starts[lo:hi].take(ev)
+                y *= net[lo:hi].take(ev)
+                np.add(levels[lo:hi].take(ev), y, out=y)
+                np.maximum(y, 0.0, out=out_level[n_written:n_written + q - w0])
+                out_phase[n_written:n_written + q - w0] = np.minimum(x[lo:hi].take(ev), max_phase)
+                n_written += q - w0
+            if due < m:
+                next_sample = float(st[due])
                 break
-            n_samples *= 2
-        due = int(np.searchsorted(st, t_last, side="right"))
-        w0 = int(np.searchsorted(st[:due], warmup, side="right"))
-        q = min(due, w0 + out_level.shape[0] - n_written)
-        if q > w0:
-            ts = st[w0:q]
-            ev = _sample_events(ends, ts, stride)
-            out_level[n_written:n_written + q - w0] = np.maximum(
-                levels[ev] + net[ev] * (ts - starts[ev]), 0.0)
-            out_phase[n_written:n_written + q - w0] = np.minimum(x[ev], max_phase)
-            n_written += q - w0
-        next_sample = float(st[due])
+            next_sample = float(st[-1] + stride)
 
         level = float(levels[-1])
-        t = float(ends[-1])
+        t = t_last
         used += consumed
         if t > t0:
             # events expected before the horizon, with a margin of four standard deviations;

@@ -103,10 +103,21 @@ def _numerator_terms(params: ModelParams, boundary: BoundaryVector, alpha, z) ->
     u = null_vector(lam, dens)
     # alpha = 0 drops the drain term, also where e_{c-2} is past the double range
     drain = 1.0 + (c - 1) * mu * e / dens[-1] if dens and alpha else 1.0
-    zc = z ** c
+    zc = _power(z, c)
     top = zc * p[c - 1]
     s = sum((c - i) * u[i] * p[i] for i in range(c))
     return top * lam * z, -top * lam, -top * alpha * drain, alpha * zc * s
+
+
+def _power(z, c: int):
+    """z ** c, raising FluidTailError where it passes the double range."""
+    try:
+        zc = z ** c
+    except OverflowError:   # a Python float or complex raises it; a numpy float gives inf
+        zc = math.inf
+    if abs(zc) == math.inf:
+        raise FluidTailError(f"z^c past the double range at z={z}, c={c}")
+    return zc
 
 
 def numerator_value(params: ModelParams, boundary: BoundaryVector, alpha, z):
@@ -409,6 +420,7 @@ def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> Boundar
     """
     c, lam, mu = params.c, params.lam, params.mu
     zt = c * mu / lam
+    _power(zt, c)   # the folded coefficient and the numerator take z_tilde^c
     xi = phase_stationary(params)
     phi0 = xi.prob(c - 1) - boundary.masses[c - 1]
     num = (
@@ -436,7 +448,9 @@ def kernel_boundary(params: ModelParams) -> tuple:
     error estimate is the system's 1-norm condition number times its
     componentwise backward error (at least machine epsilon).  The system
     loses digits as c grows, fastest at low load; an estimate above
-    _MAX_RTOL raises FluidTailError.
+    _MAX_RTOL raises FluidTailError.  At many servers and light load the
+    null vectors underflow, and a row that is zero (or not finite) raises
+    FluidTailError before the scaling.
     """
     c = params.c
     i = np.arange(c)
@@ -449,6 +463,13 @@ def kernel_boundary(params: ModelParams) -> tuple:
     rhs = np.zeros(c)
     rhs[0] = require_stable(params).mean_drift
     scale = np.abs(system).max(axis=1)
+    lost = np.count_nonzero(~(np.isfinite(scale) & (scale > 0.0)))
+    if lost:
+        raise FluidTailError(
+            f"kernel boundary masses out of the double range: {lost} of the c = {c} rows "
+            f"of the mass system are zero or not finite, their null vectors or phase "
+            f"probabilities past the double range"
+        )
     system /= scale[:, None]
     rhs /= scale
     t = np.linalg.solve(system, rhs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BranchCutError, PoleError
@@ -30,6 +31,7 @@ class BranchPoints:
 
     alpha1: float
     alpha2: float
+    alpha1_err: float   # bound on the rounding error of alpha1
 
 
 def kernel(params: ModelParams, alpha: complex, z: complex) -> complex:
@@ -46,11 +48,22 @@ def kernel_discriminant(params: ModelParams, alpha: complex) -> complex:
 
 
 def branch_points(params: ModelParams) -> BranchPoints:
-    """Zeros alpha1 < alpha2 of the discriminant; both are positive."""
+    """Zeros alpha1 < alpha2 of the discriminant; both are positive.
+
+    alpha1 = (a - b)^2 / r with a = sqrt(c mu) and b = sqrt(lam).  With u
+    the unit roundoff, a carries a relative error of 1.5 u and b one of u,
+    so a - b carries 1.5 u a + u b + u (a - b); squaring doubles that
+    relative to a - b, and the square and the division add u each.  The
+    bound alpha1_err takes eps (2 (a + b) / (a - b) + 2) alpha1, above that
+    sum.
+    """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    a, b = math.sqrt(c * mu), math.sqrt(lam)
+    alpha1 = (a - b) ** 2 / r
     return BranchPoints(
-        alpha1=(math.sqrt(c * mu) - math.sqrt(lam)) ** 2 / r,
-        alpha2=(math.sqrt(c * mu) + math.sqrt(lam)) ** 2 / r,
+        alpha1=alpha1,
+        alpha2=(a + b) ** 2 / r,
+        alpha1_err=sys.float_info.epsilon * (2.0 * (a + b) / (a - b) + 2.0) * alpha1,
     )
 
 

@@ -148,7 +148,9 @@ def is_stable(params: ModelParams) -> StabilityReport:
             + math.lgamma(c)
             - _log_factorials(c - 1)
         )
-        s = math.exp(_logsumexp(log_terms))
+        # at many servers and light load the sum passes the double range: rhs is then inf
+        log_s = _logsumexp(log_terms)
+        s = math.exp(log_s) if log_s < _LOG_MAX else math.inf
         rhs = c * mu + (c * mu - lam) * s
     drift = phase_stationary(params).mean_drift()
     return StabilityReport(stable=bool(lhs < rhs), lhs=lhs, rhs=rhs, mean_drift=drift)
@@ -204,6 +206,9 @@ def checked_boundary(params: ModelParams, masses, source: str) -> BoundaryVector
         if slack < -1e-9 * max(1.0, abs(p[0])):
             raise FluidTailError(f"boundary masses violate the level-zero balance: {slack}")
     return BoundaryVector(masses=tuple(np.maximum(p, 0.0)), source=source)
+
+
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _log_factorials(n: int) -> np.ndarray:

@@ -63,9 +63,19 @@ class CoeffZero:
 
 
 def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
-    """f on a 101-point grid on (0, alpha1): the reporting scale and zero count."""
+    """f on a 101-point grid on (0, alpha1): the reporting scale and zero count.
+
+    f takes z^c, which passes the double range at many servers and light
+    load; a value that is not finite raises FluidTailError.
+    """
     grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
-    return density_coeff_reduced(params, grid, branch_small_real(params, grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = density_coeff_reduced(params, grid, branch_small_real(params, grid))
+    if not np.isfinite(f).all():
+        raise FluidTailError(
+            f"folded coefficient past the double range on (0, alpha1 = {alpha1}) at "
+            f"c = {params.c}: z^c overflows")
+    return f
 
 
 def chain_pivots(params: ModelParams, alpha) -> tuple:

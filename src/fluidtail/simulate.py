@@ -9,16 +9,20 @@ refer to.  Randomness comes from a counter-based generator (Philox), so a
 parallel across seeds.  One vectorized engine (`_sim_core.advance`) moves
 the sample path through each chunk of random draws.
 
-Each chunk draws its 2^20 exponentials whole, then `advance` draws the
-chunk's uniforms one sub-block at a time, as it builds that sub-block.  The
-values are those of one whole-chunk draw of each: Philox is counter-based
-and `Generator.random` takes one 64-bit draw per uniform, so drawing in
-pieces leaves the stream unchanged, and a chunk that runs out before the
-horizon has drawn all 2^20 uniforms.  The uniforms past the horizon are
-never drawn.  The exponentials cannot be cut the same way: the uniforms'
-stream position comes after every one of them, and the ziggurat takes a
-data-dependent number of raw draws per exponential.  Phases are stored as
-int8, since every phase from TRACKED_PHASES up is written as TRACKED_PHASES.
+Each chunk's 2^20 exponentials are drawn twice.  The generator first skips
+them, drawing them into one reused buffer of `_sim_core._BLOCK` floats; a
+second generator, restored to the state saved before the skip, replays
+them as `advance` builds each sub-block.  `advance` draws the uniforms
+one sub-block at a time from the first generator.  The values are those of
+one whole-chunk draw of each: Philox is counter-based and `Generator.random`
+takes one 64-bit draw per uniform, so drawing in pieces leaves the stream
+unchanged, and a chunk that runs out before the horizon has drawn all 2^20
+uniforms.  The uniforms past the horizon are never drawn.  The exponentials
+cannot be skipped by moving the counter: the uniforms' stream position
+comes after every one of them, and the ziggurat takes a data-dependent
+number of raw draws per exponential.  Apart from the returned samples, no
+buffer grows with the run or the stride.  Phases are stored as int8, since
+every phase from TRACKED_PHASES up is written as TRACKED_PHASES.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from . import _sim_core
 from .errors import InsufficientSamplesError, InvalidInputError
 from .model import ModelParams, require_stable
 
-_CHUNK = 1 << 20  # exponentials drawn per kernel call
-_PIECE = 1 << 16  # samples binned at once
+_CHUNK = 1 << 20  # events per kernel call; the uniforms of a chunk follow its exponentials
+_PIECE = 1 << 16  # samples binned, gathered or counted at once
 N_BLOCKS = 50         # time blocks of the block bootstrap
 TRACKED_PHASES = 32   # per-phase statistics pool the phases from this one up
 
@@ -106,6 +110,9 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     require_stable(config.params)
     p = config.params
     rng = np.random.Generator(np.random.Philox(config.seed))
+    # replays each chunk's exponentials, from where rng stood before it skipped them
+    exps = np.random.Generator(np.random.Philox(config.seed))
+    skip = np.empty(min(_CHUNK, _sim_core._BLOCK))
     n_max = int((config.horizon - config.warmup) / config.sample_stride) + 2
     out_level = np.empty(n_max)
     out_phase = np.empty(n_max, np.int8)
@@ -115,14 +122,16 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     n_written = 0
     n_events = 0
     while t < config.horizon:
-        exps = rng.standard_exponential(_CHUNK)
+        exps.bit_generator.state = rng.bit_generator.state
+        # rng skips the chunk's exponentials, to where a whole-chunk draw leaves it
+        for lo in range(0, _CHUNK, skip.size):
+            rng.standard_exponential(out=skip[:_CHUNK - lo])
         phase, level, t, next_sample, n_written, used = _sim_core.advance(
             phase, level, t, config.horizon, config.warmup, config.sample_stride,
-            next_sample, n_written, p.lam, p.mu, p.c, p.r, exps, rng,
+            next_sample, n_written, p.lam, p.mu, p.c, p.r, exps, rng, _CHUNK,
             out_level, out_phase, TRACKED_PHASES,
         )
         n_events += used
-    del exps, rng   # freed before the tables and the fit are built
 
     levels = out_level[:n_written]
     phases = out_phase[:n_written]
@@ -134,7 +143,7 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
         phase_survival=phase_survival,
         n_samples=n_written,
         n_events=n_events,
-        zero_fraction=float(np.mean(levels == 0.0)) if n_written else 0.0,
+        zero_fraction=(n_written - np.count_nonzero(levels)) / n_written if n_written else 0.0,
         phase_frequency=freq,
         block_counts=block_counts,
         fitted=None,
@@ -196,8 +205,9 @@ def default_window(est: SurvivalEstimate, s_high: float = 3e-2, s_low: float = 1
     x_lo and x_hi are the order statistics k_lo and k_hi of the levels, as
     `np.partition` over all samples gives them.  Only the samples at or
     above the lower edge of the histogram bin holding the lower rank are
-    partitioned: the bins are exact (lower <= level < upper), so the
-    cumulative bin counts tell how many samples lie below that edge.
+    gathered, _PIECE samples at a time, and partitioned: the bins are exact
+    (lower <= level < upper), so the cumulative bin counts tell how many
+    samples lie below that edge.
     """
     levels = est.samples_level
     n = levels.size
@@ -206,8 +216,24 @@ def default_window(est: SurvivalEstimate, s_high: float = 3e-2, s_low: float = 1
     b = int(np.searchsorted(cum, min(k_lo, k_hi), side="right"))
     below = int(cum[b - 1]) if b else 0
     edge = est.grid[b - 1] if b else 0.0
-    top = np.partition(levels[levels >= edge], [k_lo - below, k_hi - below])
+    top = np.empty(n - below)
+    k = 0
+    for lo in range(0, n, _PIECE):
+        x = levels[lo:lo + _PIECE]
+        x = x[x >= edge]
+        top[k:k + x.size] = x
+        k += x.size
+    top.partition([k_lo - below, k_hi - below])
     return float(top[k_lo - below]), float(top[k_hi - below])
+
+
+def _count_in(levels: np.ndarray, x_lo: float, x_hi: float) -> int:
+    """Number of levels in [x_lo, x_hi], counted _PIECE samples at a time."""
+    count = 0
+    for lo in range(0, levels.size, _PIECE):
+        x = levels[lo:lo + _PIECE]
+        count += int(np.count_nonzero((x >= x_lo) & (x <= x_hi)))
+    return count
 
 
 def fit_tail(
@@ -230,7 +256,7 @@ def fit_tail(
     if window is None:
         window = default_window(est)
     x_lo, x_hi = window
-    in_window = int(np.sum((est.samples_level >= x_lo) & (est.samples_level <= x_hi)))
+    in_window = _count_in(est.samples_level, x_lo, x_hi)
     if in_window < min_samples:
         raise InsufficientSamplesError(
             f"{in_window} samples in window {window}; need {min_samples}"
@@ -239,14 +265,18 @@ def fit_tail(
     # linear interpolation of the survival tables onto the fit grid, as np.interp
     j = np.clip(np.searchsorted(est.grid, grid, side="right") - 1, 0, est.grid.size - 2)
     frac = np.clip((grid - est.grid[j]) / (est.grid[j + 1] - est.grid[j]), 0.0, 1.0)
+    # each block's cumulative counts at the bins j and j + 1 only, and its total
+    cum = np.cumsum(est.block_counts, axis=1)
+    cum = np.hstack((cum[:, j], cum[:, j + 1], cum[:, -1:]))
+    lower, upper = np.arange(n_grid), np.arange(n_grid, 2 * n_grid)
 
-    def slopes(counts_total):
-        """Fitted rate of each row of histogram totals; zero-survival points are left out.
+    def slopes(cum_total):
+        """Fitted rate of each row of cumulative totals; zero-survival points are left out.
 
         A row with fewer than two positive points gets NaN.
         """
-        surv = 1.0 - np.cumsum(counts_total, axis=1) / counts_total.sum(axis=1, keepdims=True)
-        s = surv[:, j] + (surv[:, j + 1] - surv[:, j]) * frac
+        surv = 1.0 - cum_total[:, :-1] / cum_total[:, -1:]
+        s = surv[:, lower] + (surv[:, upper] - surv[:, lower]) * frac
         ok = s > 0
         n_ok = ok.sum(axis=1, keepdims=True)
         x = np.where(ok, grid, 0.0)
@@ -258,7 +288,7 @@ def fit_tail(
         slope[n_ok[:, 0] < 2] = np.nan
         return -slope
 
-    rate = slopes(est.block_counts.sum(axis=0)[None, :])[0]
+    rate = slopes(cum.sum(axis=0)[None, :])[0]
     rng = np.random.Generator(np.random.Philox(est.config.seed + 0x5EED))
     n_blocks = est.block_counts.shape[0]
     # row b holds the blocks of resample b, drawn in the order of n_boot separate draws
@@ -266,7 +296,7 @@ def fit_tail(
     rows = np.repeat(np.arange(n_boot), n_blocks)
     weights = np.bincount(rows * n_blocks + picks.ravel(), minlength=n_boot * n_blocks)
     # integer counts: the weighted sums are exact in any order
-    boots = slopes(weights.reshape(n_boot, n_blocks) @ est.block_counts)
+    boots = slopes(weights.reshape(n_boot, n_blocks) @ cum)
     boots = boots[~np.isnan(boots)]
     if np.isnan(rate) or boots.size < 0.95 * n_boot:
         raise InsufficientSamplesError(

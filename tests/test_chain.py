@@ -10,8 +10,9 @@ from _forcing_oracle import (
     source_constants,
 )
 from conftest import CASE_I_C2, CASE_III, random_stable_params
-from fluidtail.asymptotics import _derivative, kernel_boundary, numerator_value
-from fluidtail.errors import PoleError
+from fluidtail.asymptotics import (_derivative, boundary_mass_tail, kernel_boundary,
+                                   numerator_value)
+from fluidtail.errors import FluidTailError, PoleError
 from fluidtail.kernel import branch_points, branch_small, density_coeff
 from fluidtail.model import BoundaryVector, ModelParams
 from fluidtail.roots import chain_links, density_coeff_reduced, find_coeff_zero
@@ -238,3 +239,14 @@ def test_numerator_matches_written_forcing(rng):
                 terms = numerator_terms(p, boundary, alpha, w)
                 scale = max(abs(t) for t in terms)
                 assert abs(numerator_value(p, boundary, alpha, w) - sum(terms)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("z", [10.0, complex(10.0, 1e-30)])
+def test_numerator_past_the_double_range_refuses(z):
+    # z_tilde = c mu / lam = 10 and 10^500 is past the double range
+    p = ModelParams(c=500, lam=50.0, mu=1.0, r=0.5)
+    boundary = BoundaryVector(masses=tuple(np.full(p.c, 1e-3)))
+    with pytest.raises(FluidTailError, match="double range"):
+        numerator_value(p, boundary, 0.0, z)
+    with pytest.raises(FluidTailError, match="double range"):
+        boundary_mass_tail(p, boundary)

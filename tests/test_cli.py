@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,39 @@ REFERENCE_ARGS = {
     "II": ["--c", "1", "--lambda", "1", "--mu", "4", "--r", "1"],
     "III": ["--c", "3", "--lambda", "20", "--mu", "30", "--r", "10"],
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_ARGS))
+def test_analyze_json_is_strict(capsys, case):
+    # Case III has no zero: alpha* is alpha1, and its error is alpha1's rounding, not inf
+    code, out, _ = run_cli(capsys, "analyze", *REFERENCE_ARGS[case])
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    alpha = payload["alpha_star"]
+    assert 0.0 <= alpha["error"] < 1e-12 * alpha["value"]
+
+
+# (c, lam, mu, r) at many servers and light load: the stability sum, the kernel mass
+# system's rows or the folded coefficient's z^c pass the double range
+@pytest.mark.parametrize("c, lam, mu, r", [
+    (100, 0.01, 1.0, 1.0), (120, 0.01, 1.0, 2.0), (120, 0.1, 1.0, 0.5),
+    (150, 0.01, 1.0, 1.0), (500, 0.01, 1.0, 0.5), (500, 50.0, 1.0, 0.5),
+])
+def test_analyze_many_servers_light_load_exits_cleanly(capsys, c, lam, mu, r):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "analyze", "--c", str(c), "--lambda", repr(lam),
+                               "--mu", repr(mu), "--r", repr(r))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    payload = json.loads(out, parse_constant=_reject_constant)
+    if code == 2:
+        assert "nan" not in payload["error"]["message"].lower()
+    else:
+        assert code == 0 and payload["schema"] == 1
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_ARGS))

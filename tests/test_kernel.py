@@ -18,6 +18,20 @@ from fluidtail.kernel import (
 from fluidtail.model import ModelParams
 
 
+def test_alpha1_rounding_bound_holds(rng):
+    # random tuples and near-critical ones, where sqrt(c mu) - sqrt(lam) cancels
+    mpmath = pytest.importorskip("mpmath")
+    tuples = [random_stable_params(rng) for _ in range(200)]
+    tuples += [ModelParams(c=c, lam=c * mu * (1.0 - eps), mu=mu, r=r)
+               for c, mu, r in [(1, 3.0, 0.7), (3, 1.3, 2.0), (8, 0.37, 5.0)]
+               for eps in (1e-3, 1e-7, 1e-12)]
+    with mpmath.workdps(50):
+        for p in tuples:
+            bp = branch_points(p)
+            exact = (mpmath.sqrt(mpmath.mpf(p.c) * p.mu) - mpmath.sqrt(p.lam)) ** 2 / p.r
+            assert abs(bp.alpha1 - exact) <= bp.alpha1_err
+
+
 def test_kernel_values():
     assert kernel(CASE_I, 0.0, 1.0) == 0.0
     assert kernel(CASE_I, 0.5, 2.0) == pytest.approx(-4.0 + 3.5 * 2.0 - 3.0)

@@ -96,6 +96,13 @@ def test_stability_examples():
     assert boundary.mean_drift == pytest.approx(0.0, abs=1e-14)
 
 
+def test_stability_at_many_servers_and_light_load():
+    # the closed-form sum is about 1e368 here, past the double range
+    rep = is_stable(ModelParams(c=100, lam=0.01, mu=1.0, r=1.0))
+    assert rep.stable and rep.rhs == math.inf
+    assert rep.mean_drift < 0
+
+
 def test_log_factorials_match_gammaln():
     from scipy.special import gammaln
 

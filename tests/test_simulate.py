@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from dataclasses import replace
 from itertools import accumulate
@@ -14,6 +15,8 @@ from fluidtail.simulate import (N_BLOCKS, TRACKED_PHASES, SimConfig, _tabulate, 
 
 C8 = ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)
 HEAVY = ModelParams(c=4, lam=3.9, mu=1.0, r=1.0)   # phase load 0.975; the level is unstable
+# the package's ``simulate`` attribute is the function, not the module
+simulate_module = importlib.import_module("fluidtail.simulate")
 
 
 def make_config(params, horizon=4e4, samples=80_000, seed=7, warmup=50.0):
@@ -23,16 +26,24 @@ def make_config(params, horizon=4e4, samples=80_000, seed=7, warmup=50.0):
     )
 
 
-class _Uniforms:
-    """Serves fixed uniforms in order, as `Generator.random(out=...)` draws them; counts the draws."""
+class _Served:
+    """Serves fixed values in order, as a `Generator` fills `out=` arrays; counts the draws."""
 
-    def __init__(self, us):
-        self.us, self.drawn = np.asarray(us, float), 0
+    def __init__(self, values):
+        self.values, self.drawn = np.asarray(values, float), 0
 
-    def random(self, out):
-        out[:] = self.us[self.drawn:self.drawn + out.size]
+    def _serve(self, out):
+        out[:] = self.values[self.drawn:self.drawn + out.size]
         self.drawn += out.size
         return out
+
+
+class _Uniforms(_Served):
+    random = _Served._serve
+
+
+class _Exps(_Served):
+    standard_exponential = _Served._serve
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +92,7 @@ def test_kernel_level_dynamics_handmade():
     us = np.array([0.0, 0.99, 0.0])      # up, down, -
     phase, level, t, next_sample, n_written, used = _sim_core.advance(
         0, 0.0, 0.0, 2.7, 0.0, 1.0, 1.0, 0, p.lam, p.mu, p.c, p.r,
-        exps, _Uniforms(us), out_x, out_ph, 32,
+        _Exps(exps), _Uniforms(us), exps.size, out_x, out_ph, 32,
     )
     # event 1 at t=1 (phase 0->1, level pinned at 0 while draining)
     # event 2 at t=2.5 (phase 1->0), level rises at r=2 to 3.0
@@ -105,7 +116,7 @@ def test_zero_clamp_partial_interval():
     us = np.array([0.0, 0.0])
     phase, level, t, ns, n_written, used = _sim_core.advance(
         0, 1.0, 0.0, 3.0, 0.0, 0.25, 0.25, 0, p.lam, p.mu, p.c, p.r,
-        exps, _Uniforms(us), out_x, out_ph, 32,
+        _Exps(exps), _Uniforms(us), exps.size, out_x, out_ph, 32,
     )
     assert level == 0.0
     expected = np.maximum(0.0, 1.0 - np.arange(1, n_written + 1) * 0.25)
@@ -330,6 +341,74 @@ def test_simulate_peak_memory_and_int8_phases():
     assert peak < 32 * 2**20
 
 
+def test_simulate_memory_is_the_outputs_plus_a_few_sub_blocks():
+    # about 10 samples per event: one sub-block holds every event of the run and 4e5 samples
+    cfg = SimConfig(params=CASE_I, horizon=2e4, seed=1, warmup=100.0, sample_stride=0.05)
+    n_max = int((cfg.horizon - cfg.warmup) / cfg.sample_stride) + 2
+    outputs = n_max * (8 + 1)   # float64 levels and int8 phases
+    tracemalloc.start()
+    try:
+        est = simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples > 390_000 and est.fitted is not None
+    # advance holds about a dozen arrays of at most _BLOCK elements at once, simulate one more
+    # (the skipped exponentials) and the tables and the fit less than that
+    assert peak < outputs + 16 * _sim_core._BLOCK * 8
+
+
+def _position(gen):
+    """Where a Philox generator stands in its stream."""
+    s = gen.bit_generator.state
+    return (tuple(s["state"]["counter"]), tuple(s["state"]["key"]), tuple(s["buffer"]),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+class _Recording:
+    """Draws exponentials from a generator and keeps a copy of each draw."""
+
+    def __init__(self, gen):
+        self.gen, self.draws = gen, []
+
+    def standard_exponential(self, out):
+        self.gen.standard_exponential(out=out)
+        self.draws.append(out.copy())
+        return out
+
+
+def test_simulate_replays_each_chunks_exponentials(monkeypatch):
+    # chunks of 1000 events, skipped in pieces of 97 and replayed in sub-blocks of other sizes
+    monkeypatch.setattr(_sim_core, "_BLOCK", 97)
+    monkeypatch.setattr(simulate_module, "_CHUNK", 1000)
+    advance, chunks = _sim_core.advance, []
+
+    def recording_advance(*args):
+        exps, uniforms, chunk = args[12:15]
+        assert chunk == 1000
+        rec = _Recording(exps)
+        before = _position(uniforms)
+        state = advance(*args[:12], rec, uniforms, *args[14:])
+        chunks.append((before, np.concatenate(rec.draws), state[-1], _position(uniforms)))
+        return state
+
+    monkeypatch.setattr(_sim_core, "advance", recording_advance)
+    simulate(SimConfig(params=CASE_I, horizon=2e3, seed=11, warmup=10.0, sample_stride=0.37),
+             fit=False)
+    # the same stream drawn a whole chunk of exponentials at a time, then the chunk's uniforms
+    ref = np.random.Generator(np.random.Philox(11))
+    assert len(chunks) > 2
+    for k, (before, drawn, used, after) in enumerate(chunks):
+        whole = ref.standard_exponential(1000)
+        assert before == _position(ref)
+        assert np.array_equal(drawn, whole[:drawn.size])
+        if k < len(chunks) - 1:
+            assert used == drawn.size == 1000
+            ref.random(1000)
+            assert after == _position(ref)
+    assert used < drawn.size <= 1000   # the horizon cuts the last chunk
+
+
 def test_tabulate_int8_phases_match_int64():
     # phases * n_bins must not wrap in int8
     rng = np.random.Generator(np.random.Philox(19))
@@ -395,15 +474,21 @@ def _reference_advance(phase, level, t, t_end, warmup, stride, next_sample, n_wr
     return phase, level, t, next_sample, n_written, k
 
 
-@pytest.mark.parametrize("params", [CASE_I, CASE_III, CASE_I_C2, C8, HEAVY],
-                         ids=["CASE_I", "CASE_III", "CASE_I_C2", "c8", "heavy"])
-def test_advance_matches_per_event_reference(params, monkeypatch):
-    # short chunks and sub-blocks cross both boundaries many times before the horizon cuts in
+_ADVANCE_CASES = {"CASE_I": CASE_I, "CASE_III": CASE_III, "CASE_I_C2": CASE_I_C2, "c8": C8,
+                  "heavy": HEAVY}
+
+
+@pytest.mark.parametrize("params, stride", [
+    *[(p, 0.37) for p in _ADVANCE_CASES.values()], *[(p, 0.023) for p in _ADVANCE_CASES.values()],
+], ids=[*_ADVANCE_CASES, *(f"{name}_pieces" for name in _ADVANCE_CASES)])
+def test_advance_matches_per_event_reference(params, stride, monkeypatch):
+    # short chunks and sub-blocks cross both boundaries many times before the horizon cuts in;
+    # at the short stride a sub-block's samples take several grid pieces
     monkeypatch.setattr(_sim_core, "_BLOCK", 97)
-    horizon, warmup, stride, chunk = 2e3, 10.0, 0.37, 1000
+    horizon, warmup, chunk = 2e3, 10.0, 1000
     n_max = int((horizon - warmup) / stride) + 2
 
-    def run(step, uniforms):
+    def run(step, draws):
         out_level, out_phase = np.zeros(n_max), np.zeros(n_max, np.int64)
         phase, level, t, next_sample, n_written = 0, 0.0, 0.0, warmup + stride, 0
         rng = np.random.Generator(np.random.Philox(11))
@@ -412,15 +497,16 @@ def test_advance_matches_per_event_reference(params, monkeypatch):
             exps = rng.standard_exponential(chunk)
             phase, level, t, next_sample, n_written, k = step(
                 phase, level, t, horizon, warmup, stride, next_sample, n_written,
-                params.lam, params.mu, params.c, params.r, exps, uniforms(rng, chunk),
+                params.lam, params.mu, params.c, params.r, *draws(rng, exps),
                 out_level, out_phase, 5)  # phases from 5 up are written as 5
             used.append(k)
         return (used, phase, t, next_sample, n_written, out_phase), level, out_level
 
-    # advance draws each sub-block's uniforms from the generator; the reference gets the chunk's
-    exact, level, out_level = run(_sim_core.advance, lambda rng, chunk: rng)
+    # advance draws each sub-block's exponentials and uniforms; the reference gets the chunk's
+    exact, level, out_level = run(_sim_core.advance,
+                                  lambda rng, exps: (_Exps(exps), rng, exps.size))
     ref_exact, ref_level, ref_out_level = run(_reference_advance,
-                                              lambda rng, chunk: rng.random(chunk))
+                                              lambda rng, exps: (exps, rng.random(exps.size)))
     used, out_phase = ref_exact[0], ref_exact[-1]
     assert len(used) > 2 and used[-1] < chunk  # several chunks, the last one cut
     assert np.any(out_phase == 5)
@@ -458,14 +544,15 @@ def test_advance_builds_few_events_past_the_horizon(monkeypatch):
 
     monkeypatch.setattr(_sim_core, "_phase_path", counting_phase_path)
     rng = np.random.Generator(np.random.Philox(3))
-    exps, us = rng.standard_exponential(1 << 18), _Uniforms(rng.random(1 << 18))
+    exps, us = _Exps(rng.standard_exponential(1 << 18)), _Uniforms(rng.random(1 << 18))
     p, horizon = CASE_I, 4e4
     *_, used = _sim_core.advance(
-        0, 0.0, 0.0, horizon, 10.0, 0.5, 10.5, 0, p.lam, p.mu, p.c, p.r, exps, us,
+        0, 0.0, 0.0, horizon, 10.0, 0.5, 10.5, 0, p.lam, p.mu, p.c, p.r, exps, us, 1 << 18,
         np.zeros(1 << 17), np.zeros(1 << 17, np.int64), 5)
-    assert 1 << 16 < used < exps.shape[0]
+    assert 1 << 16 < used < 1 << 18
     assert steps - used < 0.01 * used
     assert us.drawn - used < 0.01 * used
+    assert exps.drawn - used < 0.01 * used
 
 
 def test_sample_events_match_searchsorted():
