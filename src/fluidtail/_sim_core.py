@@ -1,14 +1,13 @@
-"""Chunk-vectorized engine of the event-driven simulator.
+"""Vectorized engine of the event-driven simulator.
 
-`advance` moves one sample path of the (phase, level) process through one
-chunk of events.  Event k of the chunk waits `e_k / rate` and jumps up iff
+`advance` moves one sample path of the (phase, level) process from time 0
+to the horizon.  Event k waits `e_k / rate` and jumps up iff
 `u_k * rate < lam`, where `rate = lam + min(phase, c) mu` and e_k and u_k
-are the k-th exponential and uniform of the chunk; the event cut by the
-horizon is not consumed.  Event times, levels and samples are whole-array
-operations over sub-blocks of at most `_BLOCK` events, and each
-sub-block's exponentials and uniforms are drawn as it is built, into
-reused buffers: the simulator passes a generator that replays the chunk's
-exponentials (see `simulate`).  The samples of a sub-block are taken in
+are the k-th draws of the exponential stream and of the uniform stream;
+the event cut by the horizon is not consumed.  Event times, levels and
+samples are whole-array operations over sub-blocks of at most `_BLOCK`
+events, and each sub-block's exponentials and uniforms are drawn as it is
+built, into reused buffers.  The samples of a sub-block are taken in
 pieces of at most `_BLOCK` grid points.  Once the horizon is in sight, a
 sub-block is sized from the time left and the event rate so far, so that
 few events are built (and few draws made) past the horizon.
@@ -46,7 +45,7 @@ import numpy as np
 USE_NUMBA = False
 
 _BLOCK = 1 << 16   # events per sub-block and grid points per sample piece: bounds the size of
-                   # every buffer and temporary, whatever the chunk, horizon and stride
+                   # every buffer and temporary, whatever the horizon and stride
 _ALWAYS_UP = 1 << 30
 _ROW = 64          # events per lockstep row: even, so every row starts at the parity of row 0,
                    # and a multiple of _CHECK
@@ -192,32 +191,30 @@ def _sample_events(ends, ts, stride):
     return np.cumsum(np.bincount(cnt, minlength=m + 1)[:m])
 
 
-def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
-            lam, mu, c, r, exps, uniforms, chunk, out_level, out_phase, max_phase):
-    """Advance through one chunk of `chunk` events; returns the updated state.
+def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms,
+            out_level, out_phase, max_phase):
+    """Advance from `(phase, level)` at time 0 to `t_end`; returns the end state.
 
-    Returns `(phase, level, t, next_sample, n_written, used)`, `used` being
-    the number of events consumed.  Each sub-block draws its exponentials
-    and its uniforms, one of each per event built, by
-    `exps.standard_exponential(out=buf)` and `uniforms.random(out=buf)`
-    (`numpy.random.Generator`s, or anything that fills `buf` in the same
-    order).  A chunk that runs out before the horizon has drawn exactly
-    `used` = `chunk` of each, so both stand where a whole-chunk draw would
-    have left them.  Between jumps the level moves linearly at the phase's
-    net rate and is clamped at zero exactly: a sample landing after the
-    hitting time reads zero, not a negative excursion.  Samples are taken
-    every `stride` time units after `warmup`, on a grid that is a running
-    sum from `next_sample`, built at most `_BLOCK` points at a time; each is
-    read on its event interval (`_sample_events`), and phases above
-    `max_phase` are written as `max_phase`.
+    Returns `(phase, level, n_written, used)`, `n_written` being the number
+    of samples written and `used` the number of events consumed.  Each
+    sub-block draws its exponentials and its uniforms, one of each per event
+    built, by `exps.standard_exponential(out=buf)` and
+    `uniforms.random(out=buf)` (`numpy.random.Generator`s, or anything that
+    fills `buf` in the same order).  Between jumps the level moves linearly
+    at the phase's net rate and is clamped at zero exactly: a sample landing
+    after the hitting time reads zero, not a negative excursion.  Samples are
+    taken every `stride` time units after `warmup`, on a grid that is a
+    running sum from `warmup + stride`, built at most `_BLOCK` points at a
+    time; each is read on its event interval (`_sample_events`), and phases
+    above `max_phase` are written as `max_phase`.
     """
     rates = lam + np.arange(c + 1) * mu
     # rate and net rate of phases 0..c; every phase from c up moves as c
     table = np.stack((rates, np.append(np.arange(-c, 0.0), r)))
     ubuf, ebuf, sbuf = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
-    used, t0, size = 0, t, _BLOCK
-    while used < chunk and t < t_end:
-        n = min(size, chunk - used)
+    t, next_sample, n_written, used, size = 0.0, warmup + stride, 0, 0, _BLOCK
+    while t < t_end:
+        n = size
         us = uniforms.random(out=ubuf[:n])
         xs = _phase_path(_thresholds(us, lam, rates, c), phase, c)
         x = xs[:-1]
@@ -291,9 +288,9 @@ def advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
         level = float(levels[-1])
         t = t_last
         used += consumed
-        if t > t0:
+        if t > 0.0:
             # events expected before the horizon, with a margin of four standard deviations;
             # a sub-block that still falls short is followed by another
-            expected = (t_end - t) * used / (t - t0)
+            expected = (t_end - t) * used / t
             size = min(_BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 64)
-    return phase, level, t, next_sample, n_written, used
+    return phase, level, n_written, used

@@ -59,11 +59,10 @@ class CoeffZero:
     # because benchmark traces count its entries
     all_roots: np.ndarray
     residual: float             # |d(alpha)| at the zero, relative to its term scale
-    scale: float                # max |f| over (0, alpha1), for reporting
 
 
 def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
-    """f on a 101-point grid on (0, alpha1): the reporting scale and zero count.
+    """f on a 101-point grid on (0, alpha1), whose sign changes count the zeros.
 
     f takes z^c, which passes the double range at many servers and light
     load; a value that is not finite raises FluidTailError.
@@ -281,7 +280,6 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     require_stable(params)
     alpha1 = branch_points(params).alpha1
     f = _coeff_grid(params, alpha1)
-    scale = float(np.max(np.abs(f)))
     positive = f > 0.0
     n_zeros = int(positive[0]) + int(np.count_nonzero(positive[1:] != positive[:-1]))
     if n_zeros > 1:
@@ -295,7 +293,7 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     elif d1 < 0.0:
         return CoeffZero(
             alpha=None, at_branch_point=False,
-            all_roots=np.empty(0), residual=math.inf, scale=scale,
+            all_roots=np.empty(0), residual=math.inf,
         )
     else:
         alpha = _brent(lambda a: _deflated(params, a)[0], 0.0, alpha1, d0, d1)
@@ -307,5 +305,5 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     d, size = _deflated(params, alpha)
     return CoeffZero(
         alpha=alpha, at_branch_point=at_branch,
-        all_roots=np.array([alpha]), residual=abs(d) / size, scale=scale,
+        all_roots=np.array([alpha]), residual=abs(d) / size,
     )

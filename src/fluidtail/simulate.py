@@ -4,25 +4,18 @@ The phase process jumps at exponential clocks (rate lam up, min(i, c)*mu
 down); between jumps the level moves linearly at the phase's net rate and is
 reflected at zero.  The time-stationary law is estimated by sampling at a
 fixed stride, which is what the analytic pipeline's stationary quantities
-refer to.  Randomness comes from a counter-based generator (Philox), so a
-(config, seed) pair always gives the same output and runs are trivially
-parallel across seeds.  One vectorized engine (`_sim_core.advance`) moves
-the sample path through each chunk of random draws.
-
-Each chunk's 2^20 exponentials are drawn twice.  The generator first skips
-them, drawing them into one reused buffer of `_sim_core._BLOCK` floats; a
-second generator, restored to the state saved before the skip, replays
-them as `advance` builds each sub-block.  `advance` draws the uniforms
-one sub-block at a time from the first generator.  The values are those of
-one whole-chunk draw of each: Philox is counter-based and `Generator.random`
-takes one 64-bit draw per uniform, so drawing in pieces leaves the stream
-unchanged, and a chunk that runs out before the horizon has drawn all 2^20
-uniforms.  The uniforms past the horizon are never drawn.  The exponentials
-cannot be skipped by moving the counter: the uniforms' stream position
-comes after every one of them, and the ziggurat takes a data-dependent
-number of raw draws per exponential.  Apart from the returned samples, no
-buffer grows with the run or the stride.  Phases are stored as int8, since
-every phase from TRACKED_PHASES up is written as TRACKED_PHASES.
+refer to.  Randomness comes from two counter-based generators (Philox),
+spawned from the seed by `np.random.SeedSequence`: one draws the holding
+times' exponentials, the other the uniforms that pick each jump's
+direction.  A (config, seed) pair always gives the same output, and runs
+are trivially parallel across seeds.  One vectorized engine
+(`_sim_core.advance`) moves the sample path from time 0 to the horizon,
+drawing from each stream one sub-block at a time.  Since each stream holds
+one kind of draw, event k takes the k-th draw of each however the events
+are cut into sub-blocks, and few draws are made past the horizon.  Apart
+from the returned samples, no buffer grows with the run or the stride.
+Phases are stored as int8, since every phase from TRACKED_PHASES up is
+written as TRACKED_PHASES.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from . import _sim_core
 from .errors import InsufficientSamplesError, InvalidInputError
 from .model import ModelParams, require_stable
 
-_CHUNK = 1 << 20  # events per kernel call; the uniforms of a chunk follow its exponentials
 _PIECE = 1 << 16  # samples binned, gathered or counted at once
 N_BLOCKS = 50         # time blocks of the block bootstrap
 TRACKED_PHASES = 32   # per-phase statistics pool the phases from this one up
@@ -109,29 +101,15 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     """
     require_stable(config.params)
     p = config.params
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    # replays each chunk's exponentials, from where rng stood before it skipped them
-    exps = np.random.Generator(np.random.Philox(config.seed))
-    skip = np.empty(min(_CHUNK, _sim_core._BLOCK))
+    exps, uniforms = (np.random.Generator(np.random.Philox(s))
+                      for s in np.random.SeedSequence(config.seed).spawn(2))
     n_max = int((config.horizon - config.warmup) / config.sample_stride) + 2
     out_level = np.empty(n_max)
     out_phase = np.empty(n_max, np.int8)
-
-    phase, level, t = 0, 0.0, 0.0
-    next_sample = config.warmup + config.sample_stride
-    n_written = 0
-    n_events = 0
-    while t < config.horizon:
-        exps.bit_generator.state = rng.bit_generator.state
-        # rng skips the chunk's exponentials, to where a whole-chunk draw leaves it
-        for lo in range(0, _CHUNK, skip.size):
-            rng.standard_exponential(out=skip[:_CHUNK - lo])
-        phase, level, t, next_sample, n_written, used = _sim_core.advance(
-            phase, level, t, config.horizon, config.warmup, config.sample_stride,
-            next_sample, n_written, p.lam, p.mu, p.c, p.r, exps, rng, _CHUNK,
-            out_level, out_phase, TRACKED_PHASES,
-        )
-        n_events += used
+    _, _, n_written, n_events = _sim_core.advance(
+        0, 0.0, config.horizon, config.warmup, config.sample_stride, p.lam, p.mu, p.c, p.r,
+        exps, uniforms, out_level, out_phase, TRACKED_PHASES,
+    )
 
     levels = out_level[:n_written]
     phases = out_phase[:n_written]

@@ -172,7 +172,8 @@ def test_zero_search_case3_filters_large_branch_root():
     assert len(inside) == 1
     assert inside[0] == pytest.approx(2.483285, rel=1e-5)
     large = branch_large(CASE_III, inside[0])
-    assert abs(density_coeff_reduced(CASE_III, inside[0], large)) < 1e-6 * zero.scale
+    scale = np.abs(roots._coeff_grid(CASE_III, bp.alpha1)).max()
+    assert abs(density_coeff_reduced(CASE_III, inside[0], large)) < 1e-6 * scale
 
 
 def test_zero_search_large_c_has_no_false_zero():
@@ -273,10 +274,11 @@ def test_filtering_soundness(rng):
         zero = find_coeff_zero(p)
         if zero.alpha is None or zero.at_branch_point:
             continue
+        scale = np.abs(roots._coeff_grid(p, branch_points(p).alpha1)).max()
         small = abs(density_coeff_reduced(p, zero.alpha, branch_small(p, zero.alpha)))
         large = abs(density_coeff_reduced(p, zero.alpha, branch_large(p, zero.alpha)))
-        assert small < 1e-8 * zero.scale
-        assert large > 1e-4 * zero.scale
+        assert small < 1e-8 * scale
+        assert large > 1e-4 * scale
 
 
 def test_numerator_c1_closed_form(sol_case1):

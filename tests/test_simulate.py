@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 from dataclasses import replace
 from itertools import accumulate
@@ -15,8 +14,6 @@ from fluidtail.simulate import (N_BLOCKS, TRACKED_PHASES, SimConfig, _tabulate, 
 
 C8 = ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)
 HEAVY = ModelParams(c=4, lam=3.9, mu=1.0, r=1.0)   # phase load 0.975; the level is unstable
-# the package's ``simulate`` attribute is the function, not the module
-simulate_module = importlib.import_module("fluidtail.simulate")
 
 
 def make_config(params, horizon=4e4, samples=80_000, seed=7, warmup=50.0):
@@ -27,13 +24,18 @@ def make_config(params, horizon=4e4, samples=80_000, seed=7, warmup=50.0):
 
 
 class _Served:
-    """Serves fixed values in order, as a `Generator` fills `out=` arrays; counts the draws."""
+    """Serves fixed values in order, as a `Generator` fills `out=` arrays; counts the draws.
+
+    Past the end of the values it serves the last one again.
+    """
 
     def __init__(self, values):
         self.values, self.drawn = np.asarray(values, float), 0
 
     def _serve(self, out):
-        out[:] = self.values[self.drawn:self.drawn + out.size]
+        head = self.values[self.drawn:self.drawn + out.size]
+        out[:head.size] = head
+        out[head.size:] = self.values[-1]
         self.drawn += out.size
         return out
 
@@ -90,14 +92,13 @@ def test_kernel_level_dynamics_handmade():
     # rates: phase 0 -> 1.0 (up only), phase 1 -> 4.0
     exps = np.array([1.0, 6.0, 100.0])   # taus: 1.0, 1.5, interrupted
     us = np.array([0.0, 0.99, 0.0])      # up, down, -
-    phase, level, t, next_sample, n_written, used = _sim_core.advance(
-        0, 0.0, 0.0, 2.7, 0.0, 1.0, 1.0, 0, p.lam, p.mu, p.c, p.r,
-        _Exps(exps), _Uniforms(us), exps.size, out_x, out_ph, 32,
+    phase, level, n_written, used = _sim_core.advance(
+        0, 0.0, 2.7, 0.0, 1.0, p.lam, p.mu, p.c, p.r,
+        _Exps(exps), _Uniforms(us), out_x, out_ph, 32,
     )
     # event 1 at t=1 (phase 0->1, level pinned at 0 while draining)
     # event 2 at t=2.5 (phase 1->0), level rises at r=2 to 3.0
     # horizon interrupts the third event at t=2.7 after draining 0.2
-    assert t == pytest.approx(2.7)
     assert phase == 0
     assert level == pytest.approx(3.0 - 1.0 * 0.2)
     assert used == 2
@@ -114,9 +115,9 @@ def test_zero_clamp_partial_interval():
     p = ModelParams(c=1, lam=1.0, mu=3.0, r=2.0)
     exps = np.array([3.0, 100.0])        # phase 0: rate 1 -> tau = 3
     us = np.array([0.0, 0.0])
-    phase, level, t, ns, n_written, used = _sim_core.advance(
-        0, 1.0, 0.0, 3.0, 0.0, 0.25, 0.25, 0, p.lam, p.mu, p.c, p.r,
-        _Exps(exps), _Uniforms(us), exps.size, out_x, out_ph, 32,
+    phase, level, n_written, used = _sim_core.advance(
+        0, 1.0, 3.0, 0.0, 0.25, p.lam, p.mu, p.c, p.r,
+        _Exps(exps), _Uniforms(us), out_x, out_ph, 32,
     )
     assert level == 0.0
     expected = np.maximum(0.0, 1.0 - np.arange(1, n_written + 1) * 0.25)
@@ -245,11 +246,18 @@ def test_fit_tail_matches_per_resample_reference(est_case1, s_high, s_low, power
 
 
 def test_far_tail_fit_leaves_out_resamples_without_a_slope(est_case1):
-    # 2 of 200 resamples have fewer than two positive grid points in this window
-    window = default_window(est_case1, 3e-4, 2e-5)
-    fit = fit_tail(est_case1, window=window, min_samples=100)
-    _, boots, n_ok = _reference_slopes(est_case1, window, 0.0)
-    assert np.count_nonzero(n_ok < 2) == 2 and fit.n_boot_used == 198
+    # a fixed sample whose levels above 19 lie in 4 of the 50 time blocks: a resample that
+    # misses all four has at most one positive grid point in this window
+    rng = np.random.Generator(np.random.Philox(29))
+    levels = np.minimum(rng.exponential(2.0, 50_000), 19.0)
+    for b in (3, 17, 30, 44):
+        levels[1000 * b:1000 * b + 40] = 20.0 + rng.exponential(2.0, 40)
+    est = _with_levels(est_case1, levels)
+    window = (20.0, 26.0)
+    fit = fit_tail(est, window=window, min_samples=100)
+    _, boots, n_ok = _reference_slopes(est, window, 0.0)
+    left_out = np.count_nonzero(n_ok < 2)
+    assert 0 < left_out < 0.05 * 200 and fit.n_boot_used == 200 - left_out
     lo, hi = np.percentile(boots[n_ok >= 2], [2.5, 97.5])
     assert fit.ci_low == pytest.approx(lo, abs=1e-12)
     assert fit.ci_high == pytest.approx(hi, abs=1e-12)
@@ -353,60 +361,25 @@ def test_simulate_memory_is_the_outputs_plus_a_few_sub_blocks():
     finally:
         tracemalloc.stop()
     assert est.n_samples > 390_000 and est.fitted is not None
-    # advance holds about a dozen arrays of at most _BLOCK elements at once, simulate one more
-    # (the skipped exponentials) and the tables and the fit less than that
+    # advance holds about a dozen arrays of at most _BLOCK elements at once, and the tables
+    # and the fit less than that
     assert peak < outputs + 16 * _sim_core._BLOCK * 8
 
 
-def _position(gen):
-    """Where a Philox generator stands in its stream."""
-    s = gen.bit_generator.state
-    return (tuple(s["state"]["counter"]), tuple(s["state"]["key"]), tuple(s["buffer"]),
-            s["buffer_pos"], s["has_uint32"], s["uinteger"])
-
-
-class _Recording:
-    """Draws exponentials from a generator and keeps a copy of each draw."""
-
-    def __init__(self, gen):
-        self.gen, self.draws = gen, []
-
-    def standard_exponential(self, out):
-        self.gen.standard_exponential(out=out)
-        self.draws.append(out.copy())
-        return out
-
-
-def test_simulate_replays_each_chunks_exponentials(monkeypatch):
-    # chunks of 1000 events, skipped in pieces of 97 and replayed in sub-blocks of other sizes
+@pytest.mark.parametrize("params, horizon", [(CASE_I, 4e4), (CASE_III, 2e3), (C8, 1e4)],
+                         ids=["CASE_I", "CASE_III", "c8"])
+def test_simulate_does_not_depend_on_the_sub_block(params, horizon, monkeypatch):
+    # event k takes the k-th draw of each stream however the events are cut into sub-blocks;
+    # only the running sums of the levels are rounded differently
+    cfg = SimConfig(params=params, horizon=horizon, seed=11, warmup=10.0, sample_stride=0.37)
+    default = simulate(cfg, fit=False)
     monkeypatch.setattr(_sim_core, "_BLOCK", 97)
-    monkeypatch.setattr(simulate_module, "_CHUNK", 1000)
-    advance, chunks = _sim_core.advance, []
-
-    def recording_advance(*args):
-        exps, uniforms, chunk = args[12:15]
-        assert chunk == 1000
-        rec = _Recording(exps)
-        before = _position(uniforms)
-        state = advance(*args[:12], rec, uniforms, *args[14:])
-        chunks.append((before, np.concatenate(rec.draws), state[-1], _position(uniforms)))
-        return state
-
-    monkeypatch.setattr(_sim_core, "advance", recording_advance)
-    simulate(SimConfig(params=CASE_I, horizon=2e3, seed=11, warmup=10.0, sample_stride=0.37),
-             fit=False)
-    # the same stream drawn a whole chunk of exponentials at a time, then the chunk's uniforms
-    ref = np.random.Generator(np.random.Philox(11))
-    assert len(chunks) > 2
-    for k, (before, drawn, used, after) in enumerate(chunks):
-        whole = ref.standard_exponential(1000)
-        assert before == _position(ref)
-        assert np.array_equal(drawn, whole[:drawn.size])
-        if k < len(chunks) - 1:
-            assert used == drawn.size == 1000
-            ref.random(1000)
-            assert after == _position(ref)
-    assert used < drawn.size <= 1000   # the horizon cuts the last chunk
+    small = simulate(cfg, fit=False)
+    assert default.n_events > 1 << 16   # more than one sub-block at the default size too
+    assert small.n_events == default.n_events
+    assert small.n_samples == default.n_samples
+    assert np.array_equal(small.samples_phase, default.samples_phase)
+    assert np.allclose(small.samples_level, default.samples_level, rtol=0.0, atol=1e-9)
 
 
 def test_tabulate_int8_phases_match_int64():
@@ -435,12 +408,12 @@ def test_far_tail_window_inflates_ci(est_case1):
     assert (far.ci_high - far.ci_low) > (near.ci_high - near.ci_low)
 
 
-def _reference_advance(phase, level, t, t_end, warmup, stride, next_sample, n_written,
-                       lam, mu, c, r, exps, us, out_level, out_phase, max_phase):
+def _reference_advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, us,
+                       out_level, out_phase, max_phase):
     """Per-event reference for `_sim_core.advance`: one Python step per event."""
     n_events = exps.shape[0]
     max_out = out_level.shape[0]
-    k = 0
+    t, next_sample, n_written, k = 0.0, warmup + stride, 0, 0
     while k < n_events and t < t_end:
         service = phase * mu if phase < c else c * mu
         rate = lam + service
@@ -471,7 +444,7 @@ def _reference_advance(phase, level, t, t_end, warmup, stride, next_sample, n_wr
         if t >= t_end:
             break
         phase = phase + 1 if go_up else phase - 1
-    return phase, level, t, next_sample, n_written, k
+    return phase, level, n_written, k
 
 
 _ADVANCE_CASES = {"CASE_I": CASE_I, "CASE_III": CASE_III, "CASE_I_C2": CASE_I_C2, "c8": C8,
@@ -482,33 +455,30 @@ _ADVANCE_CASES = {"CASE_I": CASE_I, "CASE_III": CASE_III, "CASE_I_C2": CASE_I_C2
     *[(p, 0.37) for p in _ADVANCE_CASES.values()], *[(p, 0.023) for p in _ADVANCE_CASES.values()],
 ], ids=[*_ADVANCE_CASES, *(f"{name}_pieces" for name in _ADVANCE_CASES)])
 def test_advance_matches_per_event_reference(params, stride, monkeypatch):
-    # short chunks and sub-blocks cross both boundaries many times before the horizon cuts in;
-    # at the short stride a sub-block's samples take several grid pieces
+    # short sub-blocks cross their boundaries many times before the horizon cuts in; at the
+    # short stride a sub-block's samples take several grid pieces
     monkeypatch.setattr(_sim_core, "_BLOCK", 97)
-    horizon, warmup, chunk = 2e3, 10.0, 1000
+    horizon, warmup, n_draws = 2e3, 10.0, 1 << 17
     n_max = int((horizon - warmup) / stride) + 2
 
-    def run(step, draws):
+    def run(step, exps, us):
         out_level, out_phase = np.zeros(n_max), np.zeros(n_max, np.int64)
-        phase, level, t, next_sample, n_written = 0, 0.0, 0.0, warmup + stride, 0
-        rng = np.random.Generator(np.random.Philox(11))
-        used = []
-        while t < horizon:
-            exps = rng.standard_exponential(chunk)
-            phase, level, t, next_sample, n_written, k = step(
-                phase, level, t, horizon, warmup, stride, next_sample, n_written,
-                params.lam, params.mu, params.c, params.r, *draws(rng, exps),
-                out_level, out_phase, 5)  # phases from 5 up are written as 5
-            used.append(k)
-        return (used, phase, t, next_sample, n_written, out_phase), level, out_level
+        phase, level, n_written, used = step(
+            0, 0.0, horizon, warmup, stride, params.lam, params.mu, params.c, params.r,
+            exps, us, out_level, out_phase, 5)  # phases from 5 up are written as 5
+        return (phase, n_written, used, out_phase), level, out_level
 
-    # advance draws each sub-block's exponentials and uniforms; the reference gets the chunk's
-    exact, level, out_level = run(_sim_core.advance,
-                                  lambda rng, exps: (_Exps(exps), rng, exps.size))
-    ref_exact, ref_level, ref_out_level = run(_reference_advance,
-                                              lambda rng, exps: (exps, rng.random(exps.size)))
-    used, out_phase = ref_exact[0], ref_exact[-1]
-    assert len(used) > 2 and used[-1] < chunk  # several chunks, the last one cut
+    def streams():
+        return [np.random.Generator(np.random.Philox(s))
+                for s in np.random.SeedSequence(11).spawn(2)]
+
+    # advance draws each sub-block's exponentials and uniforms; the reference gets whole arrays
+    exact, level, out_level = run(_sim_core.advance, *streams())
+    e, u = streams()
+    ref_exact, ref_level, ref_out_level = run(
+        _reference_advance, e.standard_exponential(n_draws), u.random(n_draws))
+    used, out_phase = ref_exact[2], ref_exact[-1]
+    assert 10 * 97 < used < n_draws   # many sub-blocks, and the horizon cut the reference
     assert np.any(out_phase == 5)
     assert exact[:-1] == ref_exact[:-1]
     assert np.array_equal(exact[-1], out_phase)
@@ -547,7 +517,7 @@ def test_advance_builds_few_events_past_the_horizon(monkeypatch):
     exps, us = _Exps(rng.standard_exponential(1 << 18)), _Uniforms(rng.random(1 << 18))
     p, horizon = CASE_I, 4e4
     *_, used = _sim_core.advance(
-        0, 0.0, 0.0, horizon, 10.0, 0.5, 10.5, 0, p.lam, p.mu, p.c, p.r, exps, us, 1 << 18,
+        0, 0.0, horizon, 10.0, 0.5, p.lam, p.mu, p.c, p.r, exps, us,
         np.zeros(1 << 17), np.zeros(1 << 17, np.int64), 5)
     assert 1 << 16 < used < 1 << 18
     assert steps - used < 0.01 * used
