@@ -7,10 +7,11 @@ are the k-th draws of the exponential stream and of the uniform stream;
 the event cut by the horizon is not consumed.  Event times, levels and
 samples are whole-array operations over sub-blocks of at most `_BLOCK`
 events, and each sub-block's exponentials and uniforms are drawn as it is
-built, into reused buffers.  The samples of a sub-block are taken in
-pieces of at most `_BLOCK` grid points.  Once the horizon is in sight, a
-sub-block is sized from the time left and the event rate so far, so that
-few events are built (and few draws made) past the horizon.
+built, into reused buffers.  The samples of a sub-block go to the caller's
+sink in pieces of at most `_BLOCK` grid points, so no buffer grows with the
+horizon or the stride.  Once the horizon is in sight, a sub-block is sized
+from the time left and the event rate so far, so that few events are built
+(and few draws made) past the horizon.
 
 Events and samples are both in time order, so `_sample_events` finds each
 stride sample's event from per-event sample counts (an even-stride guess,
@@ -191,12 +192,11 @@ def _sample_events(ends, ts, stride):
     return np.cumsum(np.bincount(cnt, minlength=m + 1)[:m])
 
 
-def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms,
-            out_level, out_phase, max_phase):
+def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms, sink, max_phase):
     """Advance from `(phase, level)` at time 0 to `t_end`; returns the end state.
 
     Returns `(phase, level, n_written, used)`, `n_written` being the number
-    of samples written and `used` the number of events consumed.  Each
+    of samples taken and `used` the number of events consumed.  Each
     sub-block draws its exponentials and its uniforms, one of each per event
     built, by `exps.standard_exponential(out=buf)` and
     `uniforms.random(out=buf)` (`numpy.random.Generator`s, or anything that
@@ -205,8 +205,9 @@ def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms,
     after the hitting time reads zero, not a negative excursion.  Samples are
     taken every `stride` time units after `warmup`, on a grid that is a
     running sum from `warmup + stride`, built at most `_BLOCK` points at a
-    time; each is read on its event interval (`_sample_events`), and phases
-    above `max_phase` are written as `max_phase`.
+    time; each is read on its event interval (`_sample_events`).  Each piece
+    goes to `sink(levels, phases)`, valid during the call only, in time
+    order; phases above `max_phase` are given as `max_phase`.
     """
     rates = lam + np.arange(c + 1) * mu
     # rate and net rate of phases 0..c; every phase from c up moves as c
@@ -257,7 +258,7 @@ def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms,
         del walk
 
         # samples in (t, ends[-1]], a piece of at most _BLOCK grid points at a time, each
-        # read on the event interval holding it
+        # read on the event interval holding it and handed to the sink
         t_last = float(ends[-1])
         while True:
             m = min(_BLOCK, max(int((t_last - next_sample) / stride), 0) + 2)
@@ -267,9 +268,8 @@ def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms,
             np.cumsum(st, out=st)
             due = int(np.searchsorted(st, t_last, side="right"))
             w0 = int(np.searchsorted(st[:due], warmup, side="right"))
-            q = min(due, w0 + out_level.shape[0] - n_written)
-            if q > w0:
-                ts = st[w0:q]
+            if due > w0:
+                ts = st[w0:due]
                 # the events that hold the piece's first and last samples
                 lo = int(np.searchsorted(ends[:-1], ts[0], side="left"))
                 hi = int(np.searchsorted(ends[:-1], ts[-1], side="left")) + 1
@@ -277,9 +277,9 @@ def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms,
                 y = ts - starts[lo:hi].take(ev)
                 y *= net[lo:hi].take(ev)
                 np.add(levels[lo:hi].take(ev), y, out=y)
-                np.maximum(y, 0.0, out=out_level[n_written:n_written + q - w0])
-                out_phase[n_written:n_written + q - w0] = np.minimum(x[lo:hi].take(ev), max_phase)
-                n_written += q - w0
+                np.maximum(y, 0.0, out=y)
+                sink(y, np.minimum(x[lo:hi].take(ev), max_phase))
+                n_written += due - w0
             if due < m:
                 next_sample = float(st[due])
                 break

@@ -10,19 +10,19 @@ times' exponentials, the other the uniforms that pick each jump's
 direction.  A (config, seed) pair always gives the same output, and runs
 are trivially parallel across seeds.  One vectorized engine
 (`_sim_core.advance`) moves the sample path from time 0 to the horizon,
-drawing from each stream one sub-block at a time.  Since each stream holds
-one kind of draw, event k takes the k-th draw of each however the events
-are cut into sub-blocks, and few draws are made past the horizon.  Apart
-from the returned samples, no buffer grows with the run or the stride.
-Phases are stored as int8, since every phase from TRACKED_PHASES up is
-written as TRACKED_PHASES.
+event k taking the k-th draw of each stream.
+
+No sample is stored: the engine hands each piece of stride samples to a
+sink, `_Histogram`, that bins it exactly into N_BINS bins below a power of
+two, and the tail fit reads its window and count from the bin counts.  So
+the simulator's memory does not depend on the horizon or the stride.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from . import _sim_core
 from .errors import InsufficientSamplesError, InvalidInputError
 from .model import ModelParams, require_stable
 
-_PIECE = 1 << 16  # samples binned, gathered or counted at once
+N_BINS = 4096         # level bins over [0, top)
 N_BLOCKS = 50         # time blocks of the block bootstrap
 TRACKED_PHASES = 32   # per-phase statistics pool the phases from this one up
+_MIN_TOP = 2.0 ** -30   # the least top: a run that stays at level 0 still has a grid
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,10 @@ class SimConfig:
         if not 0.0 < self.sample_stride < math.inf:
             raise InvalidInputError(
                 f"sample_stride must be positive and finite, got {self.sample_stride!r}")
+        # then the stride is at least ulp(horizon): every step of the sample grid moves it
+        if self.horizon / self.sample_stride > 2.0 ** 52:
+            raise InvalidInputError(f"need horizon / sample_stride <= 2**52, got "
+                                    f"{self.horizon!r} / {self.sample_stride!r}")
 
 
 @dataclass(frozen=True)
@@ -71,13 +76,13 @@ class TailFit:
 class SurvivalEstimate:
     """Empirical stationary law of the fluid level.
 
-    Everything is computed from the stride samples.  grid/survival tabulate
-    P(level > x); phase_survival[i] tabulates P(phase = i, level > x) and
+    Everything is computed from the binned stride samples.  grid holds the
+    upper edges of the N_BINS level bins, all of width grid[0].  survival
+    tabulates P(level >= x); phase_survival[i] P(phase = i, level >= x) and
     phase_frequency[i] P(phase = i) for i up to TRACKED_PHASES, whose row
     pools every phase from TRACKED_PHASES up.  block_counts holds one level
     histogram per time block, N_BLOCKS consecutive slices of the samples,
-    for the block bootstrap.  The raw samples are kept so that windows can
-    be re-fitted later; samples_phase is int8, capped at TRACKED_PHASES.
+    for the block bootstrap.  n_zero counts the samples at level 0 exactly.
     """
 
     config: SimConfig
@@ -86,12 +91,61 @@ class SurvivalEstimate:
     phase_survival: np.ndarray
     n_samples: int
     n_events: int
-    zero_fraction: float
+    n_zero: int
     phase_frequency: np.ndarray
     block_counts: np.ndarray
     fitted: TailFit | None
-    samples_level: np.ndarray = field(repr=False)
-    samples_phase: np.ndarray = field(repr=False)
+
+    @property
+    def zero_fraction(self) -> float:
+        return self.n_zero / self.n_samples if self.n_samples else 0.0
+
+
+class _Histogram:
+    """Level histogram of the stride samples, binned a piece at a time: the sink of `advance`.
+
+    N_BINS bins over [0, top), top the least power of two from _MIN_TOP up
+    above every level seen.  Bin `floor(level * N_BINS / top)` is exact, as
+    the scale is a power of two, and so is the merge of runs of bins when
+    top grows; a bin is never wider than 2 max / N_BINS.  Sample i counts in
+    time block `min((i * n_blocks) // n_max, n_blocks - 1)`, in the row of
+    its phase and, if 0 exactly, in n_zero.
+    """
+
+    def __init__(self, n_max: int, n_blocks: int = N_BLOCKS):
+        self.top, self.n, self.n_zero = _MIN_TOP, 0, 0
+        # block b starts at sample ceil(b n_max / n_blocks); the last one runs on to the end
+        self.starts = np.append(-(-np.arange(n_blocks) * n_max // n_blocks), 1 << 62)
+        self.per_block = np.zeros((n_blocks, N_BINS), np.int64)
+        self.per_phase = np.zeros((TRACKED_PHASES + 1, N_BINS), np.int64)
+
+    def __call__(self, levels: np.ndarray, phases: np.ndarray):
+        high = float(levels.max())
+        if high >= self.top:
+            top = math.ldexp(1.0, math.frexp(high)[1])
+            k = N_BINS // int(min(top / self.top, N_BINS))   # each kept bin sums a run of old ones
+            for t in (self.per_block, self.per_phase):
+                t[:, :k] = t.reshape(t.shape[0], k, -1).sum(axis=2)
+                t[:, k:] = 0
+            self.top = top
+        idx = (levels * (N_BINS / self.top)).astype(np.intp)
+        cuts = np.clip(self.starts - self.n, 0, idx.size)   # the piece cut at the block starts
+        for b in np.flatnonzero(cuts[1:] > cuts[:-1]):
+            self.per_block[b] += np.bincount(idx[cuts[b]:cuts[b + 1]], minlength=N_BINS)
+        self.n += idx.size
+        self.n_zero += idx.size - np.count_nonzero(levels)
+        idx += phases.astype(np.intp) * N_BINS
+        counts = np.bincount(idx)
+        self.per_phase.reshape(-1)[:counts.size] += counts
+
+    def tables(self):
+        """(grid, survival, phase_survival, block_counts, phase_frequency) so far."""
+        n = max(self.n, 1)
+        grid = np.arange(1, N_BINS + 1) * (self.top / N_BINS)
+        in_phase = self.per_phase.sum(axis=1)
+        survival = 1.0 - np.cumsum(self.per_phase.sum(axis=0)) / n
+        phase_survival = (in_phase[:, None] - np.cumsum(self.per_phase, axis=1)) / n
+        return grid, survival, phase_survival, self.per_block.astype(float), in_phase / n
 
 
 def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
@@ -103,17 +157,12 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     p = config.params
     exps, uniforms = (np.random.Generator(np.random.Philox(s))
                       for s in np.random.SeedSequence(config.seed).spawn(2))
-    n_max = int((config.horizon - config.warmup) / config.sample_stride) + 2
-    out_level = np.empty(n_max)
-    out_phase = np.empty(n_max, np.int8)
+    hist = _Histogram(int((config.horizon - config.warmup) / config.sample_stride) + 2)
     _, _, n_written, n_events = _sim_core.advance(
         0, 0.0, config.horizon, config.warmup, config.sample_stride, p.lam, p.mu, p.c, p.r,
-        exps, uniforms, out_level, out_phase, TRACKED_PHASES,
+        exps, uniforms, hist, TRACKED_PHASES,
     )
-
-    levels = out_level[:n_written]
-    phases = out_phase[:n_written]
-    grid, survival, phase_survival, block_counts, freq = _tabulate(levels, phases)
+    grid, survival, phase_survival, block_counts, freq = hist.tables()
     est = SurvivalEstimate(
         config=config,
         grid=grid,
@@ -121,12 +170,10 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
         phase_survival=phase_survival,
         n_samples=n_written,
         n_events=n_events,
-        zero_fraction=(n_written - np.count_nonzero(levels)) / n_written if n_written else 0.0,
+        n_zero=hist.n_zero,
         phase_frequency=freq,
         block_counts=block_counts,
         fitted=None,
-        samples_level=levels,
-        samples_phase=phases,
     )
     if fit and n_written:
         try:
@@ -136,82 +183,33 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     return est
 
 
-def _tabulate(levels: np.ndarray, phases: np.ndarray, n_blocks: int = N_BLOCKS):
-    """(grid, survival, phase_survival, block_counts, phase_frequency) of the samples.
-
-    Sample i of n falls in time block `(i * n_blocks) // n`, so block b is the
-    slice `[ceil(b n / n_blocks), ceil((b + 1) n / n_blocks))`; each slice
-    is binned once, in pieces of at most _PIECE samples.
-    """
-    n_bins = 2048
-    top = float(levels.max()) if levels.size else 1.0
-    top = max(top, 1e-9)  # guard against an all-zero sample set
-    edges = np.linspace(0.0, top * (1 + 1e-9), n_bins + 1)
-    grid = edges[1:]
-    # bin i holds lower[i] <= level < upper[i], as np.histogram counts; every level is
-    # below edges[-1], so the last bin may be left open above
-    lower, upper = edges[:-1], np.append(edges[1:-1], np.inf)
-    scale = n_bins / edges[-1]
-    n = max(levels.size, 1)
-    n_phases = TRACKED_PHASES + 1
-    per_phase = np.zeros(n_phases * n_bins, np.int64)
-    per_block = np.zeros((n_blocks, n_bins), np.int64)
-    bounds = [-(-b * levels.size // n_blocks) for b in range(n_blocks + 1)]
-    for b in range(n_blocks):
-        for lo in range(bounds[b], bounds[b + 1], _PIECE):
-            hi = min(lo + _PIECE, bounds[b + 1])
-            x = levels[lo:hi]
-            # uniform-bin index, moved by one where roundoff puts a level across its edge
-            idx = (x * scale).astype(np.intp)
-            np.minimum(idx, n_bins - 1, out=idx)
-            idx -= x < lower.take(idx)
-            idx += x >= upper.take(idx)
-            per_block[b] += np.bincount(idx, minlength=n_bins)
-            idx += phases[lo:hi].astype(np.intp) * n_bins
-            counts = np.bincount(idx)
-            per_phase[:counts.size] += counts
-    per_phase = per_phase.reshape(n_phases, n_bins)
-    in_phase = per_phase.sum(axis=1)
-    survival = 1.0 - np.cumsum(per_phase.sum(axis=0)) / n
-    phase_survival = (in_phase[:, None] - np.cumsum(per_phase, axis=1)) / n
-    return grid, survival, phase_survival, per_block.astype(float), in_phase / n
+def _cumulative(est: SurvivalEstimate):
+    """Points (level, samples below it) of the binned law: 0 and 0, 0 and the exact zeros,
+    then each bin's upper edge; a bin's other samples lie evenly between its two points."""
+    below = np.cumsum(est.block_counts.sum(axis=0).astype(np.int64))
+    return np.concatenate(([0.0, 0.0], est.grid)), np.concatenate(([0, est.n_zero], below))
 
 
 def default_window(est: SurvivalEstimate, s_high: float = 3e-2, s_low: float = 1e-4):
     """Window [x_lo, x_hi] spanning the given survival levels.
 
-    x_lo and x_hi are the order statistics k_lo and k_hi of the levels, as
-    `np.partition` over all samples gives them.  Only the samples at or
-    above the lower edge of the histogram bin holding the lower rank are
-    gathered, _PIECE samples at a time, and partitioned: the bins are exact
-    (lower <= level < upper), so the cumulative bin counts tell how many
-    samples lie below that edge.
+    x_lo and x_hi estimate the order statistics k_lo = int(n (1 - s_high))
+    and k_hi = int(n (1 - s_low)) of the levels, each clamped to [0, n - 1],
+    from the bin counts alone: rank k sits where the interpolated count of
+    samples below reaches k + 1/2.  That is 0 among the exact zeros, and
+    otherwise in the bin of the exact order statistic, within one bin width.
     """
-    levels = est.samples_level
-    n = levels.size
-    k_lo, k_hi = min(n - 1, int(n * (1.0 - s_high))), min(n - 1, int(n * (1.0 - s_low)))
-    cum = np.cumsum(est.block_counts.sum(axis=0).astype(np.int64))
-    b = int(np.searchsorted(cum, min(k_lo, k_hi), side="right"))
-    below = int(cum[b - 1]) if b else 0
-    edge = est.grid[b - 1] if b else 0.0
-    top = np.empty(n - below)
-    k = 0
-    for lo in range(0, n, _PIECE):
-        x = levels[lo:lo + _PIECE]
-        x = x[x >= edge]
-        top[k:k + x.size] = x
-        k += x.size
-    top.partition([k_lo - below, k_hi - below])
-    return float(top[k_lo - below]), float(top[k_hi - below])
-
-
-def _count_in(levels: np.ndarray, x_lo: float, x_hi: float) -> int:
-    """Number of levels in [x_lo, x_hi], counted _PIECE samples at a time."""
-    count = 0
-    for lo in range(0, levels.size, _PIECE):
-        x = levels[lo:lo + _PIECE]
-        count += int(np.count_nonzero((x >= x_lo) & (x <= x_hi)))
-    return count
+    n = est.n_samples
+    if not n:
+        raise InsufficientSamplesError("no samples to place a window in")
+    xs, below = _cumulative(est)
+    window = []
+    for k in (int(n * (1.0 - s_high)), int(n * (1.0 - s_low))):
+        k = min(max(k, 0), n - 1) + 0.5
+        j = int(np.searchsorted(below, k))
+        step = (k - below[j - 1]) / (below[j] - below[j - 1])
+        window.append(float(xs[j - 1] + (xs[j] - xs[j - 1]) * step))
+    return tuple(window)
 
 
 def fit_tail(
@@ -234,7 +232,9 @@ def fit_tail(
     if window is None:
         window = default_window(est)
     x_lo, x_hi = window
-    in_window = _count_in(est.samples_level, x_lo, x_hi)
+    # samples above x_lo and up to x_hi, interpolated within the bins of the two ends
+    xs, below = _cumulative(est)
+    in_window = round(np.interp(x_hi, xs[1:], below[1:]) - np.interp(x_lo, xs[1:], below[1:]))
     if in_window < min_samples:
         raise InsufficientSamplesError(
             f"{in_window} samples in window {window}; need {min_samples}"

@@ -205,12 +205,13 @@ def test_simulate_json(capsys):
 
 # sha256 of the simulate JSON stdout at fixed seeds: a change in what the simulator
 # prints for a (config, seed) shows here.  A numpy release that changes the Philox
-# stream, SeedSequence.spawn, or the exponential and uniform samplers changes them too.
+# stream, SeedSequence.spawn, or the exponential and uniform samplers changes them too,
+# and so does a change to the level histogram that the window and the fit read.
 SIMULATE_STDOUT_SHA256 = {
-    "I": ("4c5de45268cb816fc1cc0c54d50ef55b3e1a0c326d6d439edac623d55c8bebec",
+    "I": ("da6e15995febee9bebd47ab75a726e17175a32f910dc7f5ae4f57d68a17c4910",
           ["--horizon", "20000.0", "--stride", "0.05", "--seed", "7"]),
     # 80789 events: more than one engine sub-block
-    "III": ("88ae2b11fe1df900a02671707a2224a514f1d70e663ada4e31c1afe84cf4c879",
+    "III": ("2e9397e2cc0e999455d070c39c6e0eac5f4bf92219a7712d694296c505a2267d",
             ["--horizon", "2000.0", "--stride", "0.005", "--seed", "7"]),
 }
 
@@ -251,6 +252,16 @@ def test_validate_case1(capsys):
     assert "ok" in err
 
 
+def test_validate_with_one_sample_exits_cleanly(capsys):
+    # a survival level above 1 for the window's upper edge: its rank is clamped to the one sample
+    code, out, _ = run_cli(
+        capsys, "validate", *REFERENCE_ARGS["I"], "--truncation", "50", "--horizon", "200",
+        "--samples", "1",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InsufficientSamplesError"
+
+
 def test_analyze_loads_no_scipy(tmp_path):
     # analyze needs neither the spectral oracle nor scipy, in a fresh interpreter
     import fluidtail
@@ -283,6 +294,8 @@ def test_analyze_loads_no_scipy(tmp_path):
     ["simulate", *REFERENCE_ARGS["I"], "--horizon", "nan"],
     ["simulate", *REFERENCE_ARGS["I"], "--horizon", "inf"],
     ["simulate", *REFERENCE_ARGS["I"], "--stride", "0"],
+    ["simulate", *REFERENCE_ARGS["I"], "--horizon", "1e300"],
+    ["simulate", *REFERENCE_ARGS["I"], "--stride", "1e-300"],
     ["validate", *REFERENCE_ARGS["I"], "--samples", "0"],
     ["solve", *REFERENCE_ARGS["I"], "--truncation", "0"],
     ["solve", *REFERENCE_ARGS["I"], "--format", "csv", "--grid-points", "-5"],
@@ -290,8 +303,8 @@ def test_analyze_loads_no_scipy(tmp_path):
     ["solve", *REFERENCE_ARGS["I"], "--format", "csv", "--grid-max", "-3"],
     ["solve", *REFERENCE_ARGS["I"], "--format", "csv", "--grid-max", "nan"],
 ], ids=["c0", "negative_lambda", "horizon_at_warmup", "horizon_nan", "horizon_inf",
-        "stride0", "samples0", "truncation0", "grid_points_negative", "grid_points0",
-        "grid_max_negative", "grid_max_nan"])
+        "stride0", "grid_steps_horizon", "grid_steps_stride", "samples0", "truncation0",
+        "grid_points_negative", "grid_points0", "grid_max_negative", "grid_max_nan"])
 def test_bad_input_gets_a_structured_error(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
