@@ -1,6 +1,6 @@
 """Tail asymptotics of a fluid queue driven by an M/M/c background chain.
 
-Analytic pipeline (kernel branches, continued-fraction fold, zero hunting,
+Analytic pipeline (kernel root, continued-fraction fold, zero hunting,
 tail constants) plus two independent desk-scale oracles: a truncated-phase
 spectral solver and an event-driven Monte Carlo simulator.
 """
@@ -17,13 +17,11 @@ from .asymptotics import (
 )
 from .errors import (
     AssumptionViolatedError,
-    BranchCutError,
     FluidTailError,
     InsufficientSamplesError,
-    PoleError,
     UnstableModelError,
 )
-from .kernel import BranchPoints, branch_large, branch_points, branch_small, kernel
+from .kernel import BranchPoints, branch_points
 from .model import (
     BoundaryVector,
     ModelParams,
@@ -52,14 +50,12 @@ def __getattr__(name):
 __all__ = [
     "AssumptionViolatedError",
     "BoundaryVector",
-    "BranchCutError",
     "BranchPoints",
     "CoeffZero",
     "FluidTailError",
     "InsufficientSamplesError",
     "ModelParams",
     "PhaseDistribution",
-    "PoleError",
     "SimConfig",
     "SpectralSolution",
     "StabilityReport",
@@ -69,16 +65,13 @@ __all__ = [
     "UnstableModelError",
     "analyze",
     "boundary_mass_tail",
-    "branch_large",
     "branch_points",
-    "branch_small",
     "classify",
     "find_coeff_zero",
     "fit_decay",
     "fit_tail",
     "is_stable",
     "joint_tail",
-    "kernel",
     "lower_phase_tail",
     "marginal_tail",
     "phase_stationary",

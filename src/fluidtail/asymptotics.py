@@ -11,15 +11,18 @@ phase-(c-1) density transform:
                     density ~ C * exp(-alpha* x) * x^(-3/2).
 
 All prefactors are computed from the folded identity: the phase-(c-1)
-transform is -N / f, f the folded coefficient and N a numerator linear in
-the boundary masses, which numerator_value takes from the null vector of
-the draining-phase chain in O(c) steps.  kernel_boundary finds the masses
-from the same identity, as those that make N vanish at the c-1 zeros of
-f on the negative axis, plus the stationary mean drift.  No truncation is
+transform is -z n / g on the small kernel root z, with g the folded
+coefficient (roots.folded_coeff) and n a numerator linear in the boundary
+masses, which numerator_value takes from the null vector of the
+draining-phase chain in O(c) steps.  The paper's form -N / f carries z^c
+in N and z^(c-1) in f; g and n leave that common factor out, so no z^c
+is taken on the way to a constant.  kernel_boundary finds the masses
+from the same identity, as those that make n vanish at the c-1 zeros of
+g on the negative axis, plus the stationary mean drift.  No truncation is
 involved.  Each case's constant is a derivative at alpha* of an evaluator
 the zero search or the identity already has: of the deflated coefficient
-in alpha (POLE), of the folded coefficient in z (POLE_AT_BRANCH) and of
-the continuation ratio in z (BRANCH_ONLY).  All three are taken by one
+in alpha (POLE), of g in z (POLE_AT_BRANCH) and of the continuation
+ratio in z (BRANCH_ONLY).  All three are taken by one
 complex step (_derivative).  Per-phase prefactors come from exact
 coefficient extraction of the folded-coefficient/kernel ratio, whose value
 at z = 0 is exactly 1, anchoring phase c-1.
@@ -42,8 +45,8 @@ from .roots import (
     _deflated,
     chain_links,
     chain_pivots,
-    density_coeff_reduced,
     find_coeff_zero,
+    folded_coeff,
     growing_zeros,
     null_vector,
 )
@@ -79,7 +82,7 @@ def classify(params: ModelParams, zero: CoeffZero) -> tuple:
 
 
 def _numerator_terms(params: ModelParams, boundary: BoundaryVector, alpha, z) -> tuple:
-    """The four terms whose sum is the transform numerator N(alpha, z), alpha >= 0.
+    """The four terms whose sum is the transform numerator n = N(alpha, z) / z^c, alpha >= 0.
 
     Let Q_z be the generator's block on the draining phases 0..c-1 with the
     rate lam from phase c-1 to phase c put back on the diagonal as lam z,
@@ -94,8 +97,8 @@ def _numerator_terms(params: ModelParams, boundary: BoundaryVector, alpha, z) ->
     products of factors lam / den_i in (0, 1], and with the pivots den_i
     and last weight e_{c-2} of roots.chain_pivots,
     rho / u_{c-1} = lam z - lam - alpha (1 + (c-1) mu e_{c-2} / den_{c-2}).
-    The terms returned are z^c p_{c-1} times the three terms of that, and
-    the sum, whose terms all have one sign.
+    The terms returned are p_{c-1} times the three terms of that, and the
+    sum, whose terms all have one sign.
     """
     c, lam, mu = params.c, params.lam, params.mu
     p = boundary.masses
@@ -103,39 +106,27 @@ def _numerator_terms(params: ModelParams, boundary: BoundaryVector, alpha, z) ->
     u = null_vector(lam, dens)
     # alpha = 0 drops the drain term, also where e_{c-2} is past the double range
     drain = 1.0 + (c - 1) * mu * e / dens[-1] if dens and alpha else 1.0
-    zc = _power(z, c)
-    top = zc * p[c - 1]
+    top = p[c - 1]
     s = sum((c - i) * u[i] * p[i] for i in range(c))
-    return top * lam * z, -top * lam, -top * alpha * drain, alpha * zc * s
-
-
-def _power(z, c: int):
-    """z ** c, raising FluidTailError where it passes the double range."""
-    try:
-        zc = z ** c
-    except OverflowError:   # a Python float or complex raises it; a numpy float gives inf
-        zc = math.inf
-    if abs(zc) == math.inf:
-        raise FluidTailError(f"z^c past the double range at z={z}, c={c}")
-    return zc
+    return top * lam * z, -top * lam, -top * alpha * drain, alpha * s
 
 
 def numerator_value(params: ModelParams, boundary: BoundaryVector, alpha, z):
-    """The transform numerator N(alpha, z) at alpha >= 0, from the chain's null vector.
+    """The transform numerator n = N(alpha, z) / z^c at alpha >= 0, from the chain's null vector.
 
-    The phase-(c-1) density transform is -N / density_coeff_reduced on the
-    small branch (transform_continuation); _numerator_terms gives the
-    formula.  N is linear in the boundary masses, and a complex z or alpha
-    is carried through, for complex-step derivatives.
+    The phase-(c-1) density transform is -z n / g on the small root
+    (transform_continuation); _numerator_terms gives the formula.  n is
+    linear in the boundary masses, and a complex z or alpha is carried
+    through, for complex-step derivatives.
     """
     return sum(_numerator_terms(params, boundary, alpha, z))
 
 
 def _numerator_rounding(params: ModelParams, boundary: BoundaryVector, alpha: float) -> float:
-    """Relative rounding error estimate of N on the small branch at alpha.
+    """Relative rounding error estimate of n on the small root at alpha.
 
     10 eps times the condition of the sum, the terms' absolute values over
-    |N|.  An estimate of _MAX_RTOL or more raises FluidTailError: N is then
+    |n|.  An estimate of _MAX_RTOL or more raises FluidTailError: n is then
     lost to cancellation.
     """
     z = branch_small_real(params, alpha)
@@ -152,14 +143,12 @@ def _numerator_rounding(params: ModelParams, boundary: BoundaryVector, alpha: fl
 def transform_continuation(params: ModelParams, boundary: BoundaryVector, alpha):
     """Analytic continuation of the phase-(c-1) density transform.
 
-    Valid at 0 <= alpha <= alpha1 (numerator_value) wherever the folded
-    coefficient is nonzero; this is what the asymptotic constants are
-    limits of.
+    -z n / g on the small root, valid at 0 <= alpha <= alpha1
+    (numerator_value) wherever g is nonzero; this is what the asymptotic
+    constants are limits of.
     """
     z = branch_small_real(params, alpha)
-    return -numerator_value(params, boundary, alpha, z) / density_coeff_reduced(
-        params, alpha, z
-    )
+    return -z * numerator_value(params, boundary, alpha, z) / folded_coeff(params, alpha, z)
 
 
 def _derivative(f, x: float) -> float:
@@ -179,24 +168,24 @@ def _derivative(f, x: float) -> float:
 def constant_simple_pole(
     params: ModelParams, boundary: BoundaryVector, zero: CoeffZero
 ) -> tuple:
-    """POLE-case constant lim (alpha*-alpha) * transform, with its error bar.
+    """POLE-case constant lim (alpha*-alpha) * transform, with error bars.
 
-    The transform is -N/f with N the numerator and f = alpha z^(c-1) d the
-    folded coefficient, so the constant is N / f'(alpha*), and
-    f'(alpha*) = alpha* z^(c-1) d'(alpha*) because d(alpha*) = 0.  d' is a
-    complex step of roots._deflated, which has neither a pole nor a
-    cancellation.  The zero search brackets d from negative to positive, so
-    d' > 0 at a simple zero; anything else raises AssumptionViolatedError.
-    The error bar is rounding, times 10.  The small branch z carries a
-    relative error of about eps b/sqrt|disc| (b the kernel's linear
-    coefficient), which d's drift term cmu r/(cmu - lam z) amplifies by
-    lam z/|cmu - lam z|.  With d's term scale this makes the rounding of d,
-    and over alpha* d' the relative error of alpha*; near criticality N and
-    f' lose as many digits to the same z.  Next to alpha1, f' loses
-    eps b^2/|disc| through the branch's slope.  A bar of _MAX_RTOL or more
-    raises FluidTailError: the zero is then within rounding of 0 or of
-    alpha1, where the clamped double root can make a sign change of d
-    that is no zero at all.
+    Returns (constant, its error bar, alpha*'s error bar), both bars
+    absolute.  The transform is -z n/g with n the numerator and g = alpha d
+    the folded coefficient, so the constant is z n / g'(alpha*), and
+    g'(alpha*) = alpha* d'(alpha*) because d(alpha*) = 0.  d' is a complex
+    step of roots._deflated, which has neither a pole nor a cancellation.
+    The zero search brackets d from negative to positive, so d' > 0 at a
+    simple zero; anything else raises AssumptionViolatedError.  The error
+    bars are rounding, times 10.  The small root z carries a relative error
+    of about eps b/sqrt|disc| (b the kernel's linear coefficient), which
+    d's drift term cmu r/(cmu - lam z) amplifies by lam z/|cmu - lam z|.
+    With d's term scale this makes the rounding of d, and over d' the error
+    of alpha*; near criticality n and g' lose as many digits to the same
+    z.  Next to alpha1, g' loses eps b^2/|disc| through the root's slope.
+    A relative bar of _MAX_RTOL or more raises FluidTailError: the zero is
+    then within rounding of 0 or of alpha1, where the clamped double root
+    can make a sign change of d that is no zero at all.
     """
     if zero.alpha is None or zero.at_branch_point:
         raise ValueError("constant_simple_pole needs an interior zero")
@@ -210,7 +199,7 @@ def constant_simple_pole(
             f"deflated coefficient has slope {d_prime} at its zero alpha={a}; "
             f"a bracketed simple zero has a positive slope"
         )
-    value = n_val / (a * z ** (c - 1) * d_prime)
+    value = z * n_val / (a * d_prime)
     b = lam + c * mu - a * r
     disc = max(abs(kernel_discriminant(params, a)), 1e-300)
     z_err = b / math.sqrt(disc)   # relative rounding of z, in units of eps
@@ -222,25 +211,25 @@ def constant_simple_pole(
             f"pole constant lost to rounding: relative error estimate {rel_err:.2g} "
             f"at alpha*={a} is not below {_MAX_RTOL:g}"
         )
-    return float(value), float(rel_err * abs(value))
+    return float(value), float(rel_err * abs(value)), float(10.0 * _EPS * d_err / d_prime)
 
 
 def constant_pole_at_branch(params: ModelParams, boundary: BoundaryVector) -> float:
     """POLE_AT_BRANCH constant: lim sqrt(alpha*-alpha) * transform.
 
-    Equals 2*lam*N / (r * dF/dz * sqrt(alpha2-alpha1)) with N the numerator
-    and dF/dz the z-derivative of the folded coefficient, both at the
-    branch point (a complex step in z); the r factor comes from the
-    discriminant's leading coefficient r^2.
+    Equals 2*lam*z*n / (r * dg/dz * sqrt(alpha2-alpha1)) with n the
+    numerator and dg/dz the z-derivative of the folded coefficient, both
+    at the branch point (a complex step in z), where g vanishes; the r
+    factor comes from the discriminant's leading coefficient r^2.
     """
     bp = branch_points(params)
     a = bp.alpha1
     z = branch_small_real(params, a)
     n_val = numerator_value(params, boundary, a, z)
-    dfdz = _derivative(lambda w: density_coeff_reduced(params, a, w), z)
+    dgdz = _derivative(lambda w: folded_coeff(params, a, w), z)
     return float(
-        2.0 * params.lam * n_val
-        / (params.r * dfdz * math.sqrt(bp.alpha2 - bp.alpha1))
+        2.0 * params.lam * z * n_val
+        / (params.r * dgdz * math.sqrt(bp.alpha2 - bp.alpha1))
     )
 
 
@@ -248,19 +237,19 @@ def constant_branch_only(params: ModelParams, boundary: BoundaryVector) -> float
     """BRANCH_ONLY constant: lim sqrt(alpha*-alpha) * d/dalpha transform.
 
     Equals dL/dz * r * sqrt(alpha2-alpha1) / (4*lam), where
-    L(z) = -N(alpha1, z) / F(alpha1, z) is the continuation ratio at the
-    branch point, differentiated by a complex step in z.
+    L(w) = -w n(alpha1, w) / g(alpha1, w) is the continuation ratio at the
+    branch point, differentiated by a complex step in w at the small root
+    z.  g counts as vanishing below 1e-12 max(z |n|, z^(1-c)): the test
+    |f| < 1e-12 max(|N|, 1) on the paper's f and N, divided by z^(c-1).
     """
     bp = branch_points(params)
     a = bp.alpha1
     z = branch_small_real(params, a)
     num = numerator_value(params, boundary, a, z)
-    den = density_coeff_reduced(params, a, z)
-    if abs(den) < 1e-12 * max(abs(num), 1.0):
+    if abs(folded_coeff(params, a, z)) < 1e-12 * max(z * abs(num), z ** (1 - params.c)):
         raise FluidTailError("folded coefficient vanishes at the branch point; not BRANCH_ONLY")
     dl_dz = _derivative(
-        lambda w: -numerator_value(params, boundary, a, w) / density_coeff_reduced(params, a, w),
-        z,
+        lambda w: -w * numerator_value(params, boundary, a, w) / folded_coeff(params, a, w), z
     )
     return float(dl_dz * params.r * math.sqrt(bp.alpha2 - bp.alpha1) / (4.0 * params.lam))
 
@@ -296,6 +285,7 @@ class TailReport:
     params: ModelParams
     case: TailCase
     alpha_star: float
+    alpha_star_err: float       # absolute error bar of alpha*
     z_star: float               # small kernel root at alpha*
     z_large: float              # large kernel root at alpha*; phase damping is 1/z_large
     z_tilde: float              # c*mu/lam, the boundary generating function's pole scale
@@ -311,8 +301,7 @@ class TailReport:
     zero: CoeffZero = field(repr=False)
 
 
-def _phase_extraction_coeffs(params: ModelParams, alpha_star: float, case: TailCase,
-                             n_phases: int) -> np.ndarray:
+def _phase_extraction_coeffs(params: ModelParams, report: TailReport, n_phases: int) -> np.ndarray:
     """Exact coefficients R_j of the folded-coefficient/kernel ratio.
 
     R_j is the z^j coefficient of (P z - c mu) / K(alpha*, z) with
@@ -320,15 +309,15 @@ def _phase_extraction_coeffs(params: ModelParams, alpha_star: float, case: TailC
     by R_j, and R_0 = 1 exactly.  In the POLE case the small-root pole
     cancels (its residue is the defining zero), leaving a pure geometric
     sequence in 1/z_large; at the branch point the double root contributes a
-    linear-in-j factor in the BRANCH_ONLY case.
+    linear-in-j factor in the BRANCH_ONLY case.  The two roots are the
+    report's z_star and z_large.
     """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    alpha_star, z0, z1 = report.alpha_star, report.z_star, report.z_large
     links = chain_links(params, alpha_star)
     p_val = lam * (links[-1] if links else 0.0) + mu - alpha_star * (r + 1.0)
-    z0 = branch_small_real(params, alpha_star)
-    z1 = c * mu / (lam * z0)   # the product of the two roots is c mu / lam
     j = np.arange(n_phases)
-    if case is TailCase.POLE:
+    if report.case is TailCase.POLE:
         b_res = (p_val * z1 - c * mu) / (z1 - z0)
         out = (b_res / lam) * z1 ** (-(j + 1.0))
     elif abs(z0 - z1) < 1e-9 * abs(z1):
@@ -347,7 +336,7 @@ def joint_tail(params: ModelParams, report: TailReport, phase: int) -> PhaseTail
     if phase < params.c - 1:
         raise ValueError("use lower_phase_tail below phase c-1")
     j = phase - (params.c - 1)
-    coeffs = _phase_extraction_coeffs(params, report.alpha_star, report.case, j + 1)
+    coeffs = _phase_extraction_coeffs(params, report, j + 1)
     pref = report.prefactor * float(coeffs[j])
     return PhaseTail(
         phase=phase,
@@ -381,12 +370,12 @@ def lower_phase_tail(params: ModelParams, report: TailReport, phase: int) -> Pha
 def marginal_tail(params: ModelParams, report: TailReport) -> PhaseTail:
     """Tail descriptor of the level marginal (all phases summed).
 
-    The prefactor is [F(alpha*, 1)/K(alpha*, 1) + chain-sums] times the
+    The prefactor is [g(alpha*, 1)/K(alpha*, 1) + chain-sums] times the
     phase-(c-1) prefactor; K(alpha*, 1) = -alpha* r is never zero, and the
     bracket equals the exact sum of the per-phase prefactors.
     """
     a = report.alpha_star
-    bracket = density_coeff_reduced(params, a, 1.0) / (-a * params.r)
+    bracket = folded_coeff(params, a, 1.0) / (-a * params.r)
     a_vals = chain_links(params, a)
     for start in range(len(a_vals)):
         bracket += math.prod(a_vals[start:])
@@ -416,17 +405,22 @@ def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> Boundar
 
     At z = z_tilde the level variable drops out (alpha(z_tilde) = 0) and the
     phase-(c-1) transform at zero is xi_{c-1} minus the boundary mass, known
-    in closed form; the numerator is numerator_value at (0, z_tilde).
+    in closed form; the numerator is numerator_value at (0, z_tilde).  The
+    residue is z_tilde^c (g phi0 / z_tilde + n), with z_tilde^c a real
+    factor of it; past the double range it raises FluidTailError.
     """
     c, lam, mu = params.c, params.lam, params.mu
     zt = c * mu / lam
-    _power(zt, c)   # the folded coefficient and the numerator take z_tilde^c
+    try:
+        ztc = zt ** c
+    except OverflowError:   # a Python float raises it; a numpy float gives inf
+        ztc = math.inf
+    if ztc == math.inf:
+        raise FluidTailError(f"z^c past the double range at z={zt}, c={c}")
     xi = phase_stationary(params)
     phi0 = xi.prob(c - 1) - boundary.masses[c - 1]
-    num = (
-        density_coeff_reduced(params, 0.0, zt) * phi0
-        + numerator_value(params, boundary, 0.0, zt)
-    )
+    n_val = numerator_value(params, boundary, 0.0, zt)
+    num = ztc * (folded_coeff(params, 0.0, zt) * phi0 / zt + n_val)
     return BoundaryMassTail(d_ztilde=num / (lam * (zt - 1.0)), z_tilde=zt)
 
 
@@ -489,18 +483,22 @@ def analyze(params: ModelParams) -> TailReport:
     The boundary masses, which every prefactor needs, come from
     kernel_boundary.  The error bar of the transform constant adds the
     masses' relative error estimate and the numerator's rounding
-    (_numerator_rounding) to the rounding bar of the pole case.
+    (_numerator_rounding) to the rounding bar of the pole case.  alpha*'s
+    error bar is absolute: the zero's rounding bar from constant_simple_pole
+    in the POLE case, and alpha1's (branch_points) where alpha* is alpha1.
     """
     require_stable(params)
     zero = find_coeff_zero(params)
     case, alpha_star = classify(params, zero)
     boundary, boundary_err = kernel_boundary(params)
     if case is TailCase.POLE:
-        c_const, rounding_err = constant_simple_pole(params, boundary, zero)
-    elif case is TailCase.POLE_AT_BRANCH:
-        c_const, rounding_err = constant_pole_at_branch(params, boundary), 0.0
+        c_const, rounding_err, alpha_err = constant_simple_pole(params, boundary, zero)
     else:
-        c_const, rounding_err = constant_branch_only(params, boundary), 0.0
+        rounding_err, alpha_err = 0.0, branch_points(params).alpha1_err
+        if case is TailCase.POLE_AT_BRANCH:
+            c_const = constant_pole_at_branch(params, boundary)
+        else:
+            c_const = constant_branch_only(params, boundary)
     n_err = _numerator_rounding(params, boundary, alpha_star)
     c_err = rounding_err + (n_err + boundary_err) * abs(c_const)
 
@@ -511,6 +509,7 @@ def analyze(params: ModelParams) -> TailReport:
         params=params,
         case=case,
         alpha_star=alpha_star,
+        alpha_star_err=alpha_err,
         z_star=z0,
         z_large=z1,
         z_tilde=params.c * params.mu / params.lam,

@@ -19,7 +19,6 @@ from . import asymptotics
 from .simulate import SimConfig, default_window, fit_tail, simulate, summary_json, survival_csv
 from .asymptotics import TailCase
 from .errors import FluidTailError, InvalidInputError
-from .kernel import branch_points
 from .model import ModelParams
 
 SCHEMA = 1
@@ -54,20 +53,13 @@ def _prefactor_val(report, value) -> dict:
     return _val(value, "analytic", rel_err * abs(value))
 
 
-def _alpha_star_err(report) -> float:
-    """The zero's residual; with no zero (Case III) alpha* is alpha1, exact to rounding."""
-    if report.zero.alpha is None:
-        return branch_points(report.params).alpha1_err
-    return report.zero.residual
-
-
 def _report_payload(report) -> dict:
     return {
         "schema": SCHEMA,
         "params": {"c": report.params.c, "lam": report.params.lam,
                    "mu": report.params.mu, "r": report.params.r},
         "case": _val(report.case.label, "analytic"),
-        "alpha_star": _val(report.alpha_star, "analytic", _alpha_star_err(report)),
+        "alpha_star": _val(report.alpha_star, "analytic", report.alpha_star_err),
         # a decay-rate zero is always simple; kept for schema 1
         "multiplicity": _val(1, "analytic"),
         "power": _val(report.power, "analytic"),

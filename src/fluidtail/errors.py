@@ -9,14 +9,6 @@ class UnstableModelError(FluidTailError):
     """The fluid level has no stationary distribution for these parameters."""
 
 
-class BranchCutError(FluidTailError):
-    """Branch evaluation requested on the discriminant cut."""
-
-
-class PoleError(FluidTailError):
-    """Evaluation at (or too close to) a pole of a rational function."""
-
-
 class AssumptionViolatedError(FluidTailError):
     """More than one candidate zero found where at most one is admissible."""
 

@@ -9,23 +9,26 @@ Note the net-rate weight (c-i) on alpha: each low phase drains the level at
 its own speed, and the weight is what the transform of its balance equation
 actually produces.  The fold turns the kernel identity into one with a
 single free density transform (phase c-1), whose coefficient is the folded
-coefficient density_coeff_reduced, and a numerator linear in the boundary
-masses (asymptotics.numerator_value).  Only chain_pivots computes pivots, as
-den_i = lam + alpha e_i with e_0 = c and e_i = (c-i) + i mu e_{i-1} / den_{i-1}:
-valid on the whole real axis and under complex steps, and without
-cancellation on alpha >= 0, where every e_i is positive.  The links, the
-last link in f and in d, the null vector (null_vector) and the Sturm count
-are all read from them.
+coefficient, and a numerator linear in the boundary masses
+(asymptotics.numerator_value).  As the paper writes them, the coefficient
+carries a factor z^(c-1) and the numerator z^c, which cancel in every
+ratio reported; both are computed without them.  folded_coeff is the one
+evaluator of the coefficient, g = f / z^(c-1) with f the written form.
 
-The folded coefficient is f(alpha) = density_coeff_reduced(alpha,
-branch_small_real(alpha)).  The candidate decay rate is its unique zero
-inside (0, alpha1].  There f = alpha z^(c-1) d(alpha) with z the small
-branch and d a deflated coefficient that has neither a pole nor a
-cancellation at 0; d(0) < 0, so the sign of d at alpha1 tells whether the
-zero is inside, at alpha1 or absent, and Brent's method finds an inside
-zero.
+Only chain_pivots computes pivots, as den_i = lam + alpha e_i with e_0 = c
+and e_i = (c-i) + i mu e_{i-1} / den_{i-1}: valid on the whole real axis
+and under complex steps, and without cancellation on alpha >= 0, where
+every e_i is positive.  The links, the last link in g and in d, the null
+vector (null_vector) and the Sturm count are all read from them.
 
-On the negative axis f has c-1 more zeros, the negated growing eigenvalues
+On the small root z = branch_small_real(alpha), which is positive, g has
+the sign of f.  The candidate decay rate is the unique zero of g(alpha, z)
+inside (0, alpha1].  There g = alpha d(alpha) with d a deflated
+coefficient that has neither a pole nor a cancellation at 0; d(0) < 0, so
+the sign of d at alpha1 tells whether the zero is inside, at alpha1 or
+absent, and Brent's method finds an inside zero.
+
+On the negative axis g has c-1 more zeros, the negated growing eigenvalues
 of the stationary system, where the boundary masses are pinned down
 (asymptotics.kernel_boundary).  A Sturm count of the pivots isolates each
 of them, and Brent's method finds it.
@@ -40,7 +43,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import AssumptionViolatedError, FluidTailError
-from .kernel import at_double_root, branch_points, branch_small_real, density_coeff
+from .kernel import at_double_root, branch_points, branch_small_real
 from .model import ModelParams, require_stable
 
 # |d| below this (times its term scale) counts as a zero
@@ -58,23 +61,22 @@ class CoeffZero:
     # the zeros found on (0, alpha1], 0 or 1 of them; the name is kept
     # because benchmark traces count its entries
     all_roots: np.ndarray
-    residual: float             # |d(alpha)| at the zero, relative to its term scale
 
 
 def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
-    """f on a 101-point grid on (0, alpha1), whose sign changes count the zeros.
+    """g on a 101-point grid on (0, alpha1), whose sign changes count the zeros.
 
-    f takes z^c, which passes the double range at many servers and light
-    load; a value that is not finite raises FluidTailError.
+    A value that is not finite, where the chain's weights or pivots pass
+    the double range, raises FluidTailError.
     """
     grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = density_coeff_reduced(params, grid, branch_small_real(params, grid))
-    if not np.isfinite(f).all():
+        g = folded_coeff(params, grid, branch_small_real(params, grid))
+    if not np.isfinite(g).all():
         raise FluidTailError(
-            f"folded coefficient past the double range on (0, alpha1 = {alpha1}) at "
-            f"c = {params.c}: z^c overflows")
-    return f
+            f"folded coefficient not finite on (0, alpha1 = {alpha1}) at c = {params.c}: "
+            f"the chain's weights or pivots pass the double range")
+    return g
 
 
 def chain_pivots(params: ModelParams, alpha) -> tuple:
@@ -111,26 +113,29 @@ def null_vector(lam: float, dens: list) -> list:
     return list(accumulate(reversed(dens), lambda u, den: u * lam / den, initial=1.0))[::-1]
 
 
-def density_coeff_reduced(params: ModelParams, alpha, z):
-    """Folded coefficient of the phase-(c-1) density transform.
+def folded_coeff(params: ModelParams, alpha, z, dens=None):
+    """Folded coefficient g of the phase-(c-1) density transform.
 
-    Equals lam*z^c*A_{c-2}(alpha) + density_coeff(alpha, z), with only the
-    last link taken from its pivot; for c = 1 the fold is empty and this is
-    density_coeff itself.
+    The paper writes the coefficient as
+    f = lam z^c A_{c-2}(alpha) + (mu - alpha r - alpha) z^c - c mu z^(c-1);
+    g = f / z^(c-1) = z (mu - alpha (r+1) + (c-1) lam mu / den_{c-2}) - c mu,
+    with the last pivot den_{c-2} of chain_pivots (dens, if the caller has
+    them; no chain term for c = 1).  alpha and z may be complex or arrays.
     """
-    c, lam, mu = params.c, params.lam, params.mu
-    base = density_coeff(params, alpha, z)
-    if c == 1:
-        return base
-    return lam * z ** c * ((c - 1) * mu / chain_pivots(params, alpha)[0][-1]) + base
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    if dens is None:
+        dens = chain_pivots(params, alpha)[0]
+    chain = (c - 1) * lam * mu / dens[-1] if dens else 0.0
+    return z * (mu - alpha * (r + 1.0) + chain) - c * mu
 
 
 def _deflated(params: ModelParams, alpha: float) -> tuple:
-    """(d, term scale of d) at alpha in [0, alpha1], with f = alpha z^(c-1) d.
+    """(d, term scale of d) at alpha in [0, alpha1], with g = alpha d.
 
-    With the last pivot den_{c-2} = lam + alpha e_{c-2} of chain_pivots and
-    the kernel's z - 1 = alpha r z / (c mu - lam z), dividing alpha out of f
-    leaves
+    d is the zero search's form of folded_coeff: g with alpha divided out
+    exactly, so that it has no cancellation near alpha = 0.  With the last
+    pivot den_{c-2} = lam + alpha e_{c-2} of chain_pivots and the kernel's
+    z - 1 = alpha r z / (c mu - lam z), dividing alpha out of g leaves
 
         d = z [c mu r / (c mu - lam z) - (r+1) - (c-1) mu e_{c-2} / den_{c-2}]
 
@@ -195,33 +200,32 @@ def _folded_count(params: ModelParams, alpha: float) -> tuple:
     """(Sturm count, pole-free value) of the folded coefficient at alpha < 0.
 
     With D_i the denominator polynomial of the chain's A_i (D_{-1} = 1),
-    the pivots of chain_pivots are den_i = D_i / D_{i-1}, and
-    g = f / z^(c-1) closes them at phase c-1.  The count is the number of
-    negative den_i plus one if g > 0.  Across a chain pole one pivot and the
-    next change sign together, so the count only changes where g has a
-    zero: it is c at alpha = -2 (lam + c mu) and falls by one at each
-    growing zero, to 1 just below alpha = 0.  As in a Sturm sequence, the
-    computed pivots are the exact ones of slightly perturbed rates, so the
-    count stays right however close a zero lies to a pole.
+    the pivots of chain_pivots are den_i = D_i / D_{i-1}, and folded_coeff's
+    g closes them at phase c-1.  The count is the number of negative den_i
+    plus one if g > 0.  Across a chain pole one pivot and the next change
+    sign together, so the count only changes where g has a zero: it is c
+    at alpha = -2 (lam + c mu) and falls by one at each growing zero, to 1
+    just below alpha = 0.  As in a Sturm sequence, the computed pivots are
+    the exact ones of slightly perturbed rates, so the count stays right
+    however close a zero lies to a pole.
 
-    The value is D_{c-2} g, the pole-free product f D_{c-2} / z^(c-1),
-    divided by a positive factor that keeps it finite for large c.  It is
-    continuous in alpha, vanishes exactly at the zeros, and its sign is
-    (-1)^(count-1).
+    The value is D_{c-2} g, which has no pole, divided by a positive factor
+    that keeps it finite for large c.  It is continuous in alpha, vanishes
+    exactly at the zeros, and its sign is (-1)^(count-1).
     """
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    scale = abs(alpha) + lam + c * mu
-    count, value, den = 0, 1.0, 1.0
-    for i, den in enumerate(chain_pivots(params, alpha)[0]):
+    c = params.c
+    scale = abs(alpha) + params.lam + c * params.mu
+    dens = chain_pivots(params, alpha)[0]
+    count, value = 0, 1.0
+    for i, den in enumerate(dens):
         count += den < 0.0
         value *= den / ((c - i) * scale)
-    z = branch_small_real(params, alpha)
-    g = z * (mu - alpha * (r + 1.0) + (c - 1) * lam * mu / den) - c * mu
+    g = folded_coeff(params, alpha, branch_small_real(params, alpha), dens)
     return count + (g > 0.0), value * g
 
 
 def growing_zeros(params: ModelParams) -> np.ndarray:
-    """The c-1 zeros of f on the negative axis, ascending (empty for c = 1).
+    """The c-1 zeros of g on the negative axis, ascending (empty for c = 1).
 
     They are the negated growing eigenvalues of the infinite stationary
     system, and all lie above -B with B = 2 (lam + c mu), the Gershgorin
@@ -244,7 +248,7 @@ def growing_zeros(params: ModelParams) -> np.ndarray:
     h = lambda a: _folded_count(params, a)[1]
     for k in range(c - 1):
         target = c - 1 - k   # the count just right of zero k
-        # just below 0 the count is 1 (<= target); 0 itself is a zero of f
+        # just below 0 the count is 1 (<= target); 0 itself is a zero of g
         hi, n_hi, h_hi = 0.0, 1, 0.0
         for _ in range(_MAX_BISECTIONS):
             if n_lo == target + 1 and n_hi == target and h_hi != 0.0:
@@ -270,7 +274,7 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     there is none when d(alpha1) < 0, and otherwise Brent's method finds it
     between 0 and alpha1.  A zero it finds where branch_small_real clamps the
     small branch to the double root sits at alpha1 too: the sign change there
-    is the clamp's jump.  On (0, alpha1) f has the sign of d, so the grid
+    is the clamp's jump.  On (0, alpha1) g has the sign of d, so the grid
     of _coeff_grid counts the zeros: one per sign change, plus one if its
     first value is already positive; more than one raises
     AssumptionViolatedError.  The zero is simple: the bracket only finds
@@ -279,11 +283,10 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     """
     require_stable(params)
     alpha1 = branch_points(params).alpha1
-    f = _coeff_grid(params, alpha1)
-    positive = f > 0.0
+    positive = _coeff_grid(params, alpha1) > 0.0
     n_zeros = int(positive[0]) + int(np.count_nonzero(positive[1:] != positive[:-1]))
     if n_zeros > 1:
-        raise AssumptionViolatedError(f"{n_zeros} zeros of f in (0, alpha1 = {alpha1})")
+        raise AssumptionViolatedError(f"{n_zeros} zeros of g in (0, alpha1 = {alpha1})")
     d0, _ = _deflated(params, 0.0)
     if not d0 < 0.0:
         raise FluidTailError(f"deflated coefficient {d0} at alpha=0; a stable tuple has d(0) < 0")
@@ -291,10 +294,7 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     if abs(d1) < _ZERO_TOL * size1:
         alpha, at_branch = alpha1, True
     elif d1 < 0.0:
-        return CoeffZero(
-            alpha=None, at_branch_point=False,
-            all_roots=np.empty(0), residual=math.inf,
-        )
+        return CoeffZero(alpha=None, at_branch_point=False, all_roots=np.empty(0))
     else:
         alpha = _brent(lambda a: _deflated(params, a)[0], 0.0, alpha1, d0, d1)
         # a sign change where the small branch is clamped to the double root is the jump
@@ -302,8 +302,4 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
         at_branch = at_double_root(params, alpha)
         if at_branch:
             alpha = alpha1
-    d, size = _deflated(params, alpha)
-    return CoeffZero(
-        alpha=alpha, at_branch_point=at_branch,
-        all_roots=np.array([alpha]), residual=abs(d) / size,
-    )
+    return CoeffZero(alpha=alpha, at_branch_point=at_branch, all_roots=np.array([alpha]))

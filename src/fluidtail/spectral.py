@@ -270,10 +270,9 @@ def _reduced_pencil(params: ModelParams, n_phases: int) -> _Pencil:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Regression summary of log density against x (and optionally log x)."""
+    """Regression summary of log density against x."""
 
     rate: float
-    power: float
     prefactor: float
     rate_stderr: float
     prefactor_stderr: float
@@ -284,14 +283,12 @@ def fit_decay(
     phase: int,
     window: tuple,
     n_points: int = 60,
-    fit_power: bool = False,
     fixed_rate: float | None = None,
 ) -> DecayFit:
-    """Fit log pi_phase(x) ~ log C - rate*x + power*log x over a window.
+    """Fit log pi_phase(x) ~ log C - rate*x over a window.
 
-    With fixed_rate given, only the prefactor (and optionally the power) is
-    estimated, which is the stable way to read off a prefactor when the rate
-    is known analytically.
+    With fixed_rate given, only the prefactor is estimated, which is the
+    stable way to read off a prefactor when the rate is known analytically.
     """
     xs = np.linspace(window[0], window[1], n_points)
     dens = solution.density_grid(xs)[:, phase]
@@ -302,8 +299,6 @@ def fit_decay(
         cols.append(-xs)
     else:
         y = y + fixed_rate * xs
-    if fit_power:
-        cols.append(np.log(xs))
     design = np.vstack(cols).T
     coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
     dof = max(1, len(xs) - design.shape[1])
@@ -311,10 +306,8 @@ def fit_decay(
     cov = sigma2 * np.linalg.inv(design.T @ design)
     rate = coef[1] if fixed_rate is None else fixed_rate
     rate_err = math.sqrt(abs(cov[1, 1])) if fixed_rate is None else 0.0
-    power = coef[-1] if fit_power else 0.0
     return DecayFit(
         rate=float(rate),
-        power=float(power),
         prefactor=float(math.exp(coef[0])),
         rate_stderr=float(rate_err),
         prefactor_stderr=float(math.exp(coef[0]) * math.sqrt(abs(cov[0, 0]))),

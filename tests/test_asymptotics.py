@@ -21,9 +21,9 @@ from fluidtail.asymptotics import (
     marginal_tail,
     transform_continuation,
 )
-from _forcing_oracle import numerator_terms
+from _forcing_oracle import alpha_of_z, kernel, numerator_terms
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
-from fluidtail.kernel import branch_points, branch_small, kernel
+from fluidtail.kernel import branch_points, branch_small_real
 from fluidtail.model import BoundaryVector, ModelParams, phase_stationary
 from fluidtail.roots import find_coeff_zero, growing_zeros
 
@@ -53,7 +53,7 @@ def test_case_partition_and_z_bounds(rng):
         case, alpha_star = classify(p, find_coeff_zero(p))
         bp = branch_points(p)
         assert 0.0 < alpha_star <= bp.alpha1 * (1 + 1e-12)
-        z_star = complex(branch_small(p, min(alpha_star, bp.alpha1))).real
+        z_star = branch_small_real(p, min(alpha_star, bp.alpha1))
         assert 1.0 < z_star <= math.sqrt(p.c * p.mu / p.lam) * (1 + 1e-12)
         if case is TailCase.POLE:
             assert alpha_star < bp.alpha1
@@ -66,7 +66,7 @@ def test_kernel_consistency_identity(rng):
     for _ in range(60):
         p = random_stable_params(rng)
         _, alpha_star = classify(p, find_coeff_zero(p))
-        z_star = complex(branch_small(p, alpha_star)).real
+        z_star = branch_small_real(p, alpha_star)
         cmu = p.c * p.mu
         lhs = -(p.lam / cmu) * z_star + (p.lam + cmu) / cmu - p.r * alpha_star / cmu
         assert lhs == pytest.approx(1.0 / z_star, rel=1e-10)
@@ -95,8 +95,16 @@ def test_pole_constant_extrapolation(report_case1):
 
 def test_pole_constant_zero_boundary():
     zero = find_coeff_zero(CASE_I)
-    value, _ = constant_simple_pole(CASE_I, BoundaryVector(masses=(0.0,)), zero)
+    value, _, _ = constant_simple_pole(CASE_I, BoundaryVector(masses=(0.0,)), zero)
     assert value == 0.0
+
+
+def test_alpha_star_error_bar_case1(report_case1):
+    # CASE_I's decay rate is 1/2 exactly; its bar is absolute, positive and covers the rounding
+    err = report_case1.alpha_star_err
+    assert err > 0.0
+    assert abs(report_case1.alpha_star - 0.5) <= err
+    assert err < 1e-12
 
 
 def test_complex_step_derivative():
@@ -327,7 +335,6 @@ def test_marginal_regular_at_one(rng):
 
 def test_boundary_mass_tail_properties(rng):
     # alpha(z_tilde) = 0 exactly and the residue matches xi_{c-1} z_tilde^c > 0
-    from fluidtail.kernel import alpha_of_z
     from fluidtail.spectral import solve_truncated
 
     for p in (CASE_I, CASE_II, CASE_I_C2, CASE_III):
@@ -456,7 +463,7 @@ def test_numerator_vanishes_at_growing_zeros(rng):
     for p in tuples:
         boundary, _ = kernel_boundary(p)
         for a in growing_zeros(p):
-            z = branch_small(p, a).real
+            z = branch_small_real(p, a)
             terms = numerator_terms(p, boundary, a, z)
             scale = max(abs(complex(t)) for t in terms)
             assert abs(complex(sum(terms))) < 1e-9 * scale

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _forcing_oracle import (
+    PoleError,
     boundary_gf,
     chain_offset,
     forcing,
@@ -12,10 +13,10 @@ from _forcing_oracle import (
 from conftest import CASE_I_C2, CASE_III, random_stable_params
 from fluidtail.asymptotics import (_derivative, boundary_mass_tail, kernel_boundary,
                                    numerator_value)
-from fluidtail.errors import FluidTailError, PoleError
-from fluidtail.kernel import branch_points, branch_small, density_coeff
+from fluidtail.errors import FluidTailError
+from fluidtail.kernel import branch_points, branch_small_real
 from fluidtail.model import BoundaryVector, ModelParams
-from fluidtail.roots import chain_links, density_coeff_reduced, find_coeff_zero
+from fluidtail.roots import chain_links, find_coeff_zero, folded_coeff
 
 
 def test_chain_first_link_c2():
@@ -137,22 +138,22 @@ def test_boundary_vector_validation():
 def test_reduced_coeff_c1_closed_form():
     p = ModelParams(c=1, lam=1.0, mu=3.0, r=1.0)
     for alpha, z in ((0.1, 1.4), (0.5, 1.5), (0.52, 2.2)):
-        assert density_coeff_reduced(p, alpha, z) == pytest.approx((3 - 2 * alpha) * z - 3)
-        assert density_coeff_reduced(p, alpha, z) == density_coeff(p, alpha, z)
+        assert folded_coeff(p, alpha, z) == pytest.approx((3 - 2 * alpha) * z - 3)
 
 
 def test_reduced_coeff_vanishes_at_origin():
+    # g = f / z^(c-1) is -c mu at z = 0, so the written f = z^(c-1) g vanishes there
     for c in (2, 3, 4):
         p = ModelParams(c=c, lam=1.0, mu=2.0, r=1.0)
-        assert density_coeff_reduced(p, 0.7, 0.0) == pytest.approx(0.0, abs=1e-13)
+        assert folded_coeff(p, 0.7, 0.0) == pytest.approx(-c * p.mu, rel=1e-15)
 
 
 def test_reduced_coeff_dz_matches_numeric(rng):
     for _ in range(20):
         p = random_stable_params(rng, c_choices=(1, 2, 3, 4))
         alpha, z, h = rng.uniform(0.05, 1.0), rng.uniform(1.1, 2.5), 1e-6
-        num = (density_coeff_reduced(p, alpha, z + h) - density_coeff_reduced(p, alpha, z - h)) / (2 * h)
-        step = _derivative(lambda w: density_coeff_reduced(p, alpha, w), z)
+        num = (folded_coeff(p, alpha, z + h) - folded_coeff(p, alpha, z - h)) / (2 * h)
+        step = _derivative(lambda w: folded_coeff(p, alpha, w), z)
         assert step == pytest.approx(num, rel=1e-7)
 
 
@@ -224,8 +225,8 @@ def test_boundary_gf_is_monomial():
 
 
 def test_numerator_matches_written_forcing(rng):
-    # the null-vector numerator against boundary term + forcing, on the
-    # small branch and off the kernel curve, at fractions of the decay rate
+    # the null-vector numerator n = N / z^c against boundary term + forcing, on
+    # the small root and off the kernel curve, at fractions of the decay rate
     tuples = [CASE_I_C2, CASE_III, ModelParams(c=1, lam=1.0, mu=3.0, r=1.0),
               ModelParams(c=2, lam=1.0, mu=3.0, r=1.0), ModelParams(c=3, lam=1.0, mu=2.0, r=1.0)]
     tuples += [random_stable_params(rng, c_choices=(2, 3, 4, 6)) for _ in range(20)]
@@ -234,19 +235,20 @@ def test_numerator_matches_written_forcing(rng):
         zero = find_coeff_zero(p)
         alpha_star = branch_points(p).alpha1 if zero.alpha is None else zero.alpha
         for alpha in np.array([0.1, 0.5, 0.9, 1.0]) * alpha_star:
-            z = complex(branch_small(p, alpha)).real
+            z = branch_small_real(p, alpha)
             for w in (z, 1.37 * z, 0.6):
                 terms = numerator_terms(p, boundary, alpha, w)
                 scale = max(abs(t) for t in terms)
-                assert abs(numerator_value(p, boundary, alpha, w) - sum(terms)) <= 1e-13 * scale
+                n_times_zc = numerator_value(p, boundary, alpha, w) * w ** p.c
+                assert abs(n_times_zc - sum(terms)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("z", [10.0, complex(10.0, 1e-30)])
 def test_numerator_past_the_double_range_refuses(z):
-    # z_tilde = c mu / lam = 10 and 10^500 is past the double range
+    # z_tilde = c mu / lam = 10 and 10^500 is past the double range: n leaves the
+    # z^c out and stays finite, and only the residue, which carries z_tilde^c, refuses
     p = ModelParams(c=500, lam=50.0, mu=1.0, r=0.5)
     boundary = BoundaryVector(masses=tuple(np.full(p.c, 1e-3)))
-    with pytest.raises(FluidTailError, match="double range"):
-        numerator_value(p, boundary, 0.0, z)
+    assert np.isfinite(numerator_value(p, boundary, 0.0, z))
     with pytest.raises(FluidTailError, match="double range"):
         boundary_mass_tail(p, boundary)

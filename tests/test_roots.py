@@ -9,9 +9,14 @@ from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_c1, ran
 from fluidtail import roots
 from fluidtail.asymptotics import TailCase, analyze, numerator_value
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
-from fluidtail.kernel import branch_large, branch_points, branch_small, branch_small_real
+from fluidtail.kernel import branch_points, branch_small_real
 from fluidtail.model import ModelParams
-from fluidtail.roots import density_coeff_reduced, find_coeff_zero, growing_zeros
+from fluidtail.roots import find_coeff_zero, folded_coeff, growing_zeros
+
+
+def _large_root(p, alpha):
+    """The large kernel root at real alpha: c mu / (lam z) with z the small one."""
+    return p.c * p.mu / (p.lam * branch_small_real(p, alpha))
 
 
 def corrected_cubic_c2(p):
@@ -131,8 +136,8 @@ def test_case3_exists_for_c1():
     cand = p.mu / (p.r + 1.0) - p.lam
     bp = branch_points(p)
     assert 0.0 < cand < bp.alpha1
-    assert abs(density_coeff_reduced(p, cand, branch_large(p, cand))) < 1e-10
-    assert abs(density_coeff_reduced(p, cand, branch_small(p, cand))) > 1.0
+    assert abs(folded_coeff(p, cand, _large_root(p, cand))) < 1e-10
+    assert abs(folded_coeff(p, cand, branch_small_real(p, cand))) > 1.0
     assert find_coeff_zero(p).alpha is None
     s1 = solve_truncated(p, 400).eigenvalues[0].real
     assert -s1 == pytest.approx(bp.alpha1, rel=1e-3)
@@ -171,9 +176,9 @@ def test_zero_search_case3_filters_large_branch_root():
               if abs(w.imag) < 1e-8 and 1e-9 < w.real <= bp.alpha1]
     assert len(inside) == 1
     assert inside[0] == pytest.approx(2.483285, rel=1e-5)
-    large = branch_large(CASE_III, inside[0])
+    large = _large_root(CASE_III, inside[0])
     scale = np.abs(roots._coeff_grid(CASE_III, bp.alpha1)).max()
-    assert abs(density_coeff_reduced(CASE_III, inside[0], large)) < 1e-6 * scale
+    assert abs(folded_coeff(CASE_III, inside[0], large)) < 1e-6 * scale
 
 
 def test_zero_search_large_c_has_no_false_zero():
@@ -275,8 +280,8 @@ def test_filtering_soundness(rng):
         if zero.alpha is None or zero.at_branch_point:
             continue
         scale = np.abs(roots._coeff_grid(p, branch_points(p).alpha1)).max()
-        small = abs(density_coeff_reduced(p, zero.alpha, branch_small(p, zero.alpha)))
-        large = abs(density_coeff_reduced(p, zero.alpha, branch_large(p, zero.alpha)))
+        small = abs(folded_coeff(p, zero.alpha, branch_small_real(p, zero.alpha)))
+        large = abs(folded_coeff(p, zero.alpha, _large_root(p, zero.alpha)))
         assert small < 1e-8 * scale
         assert large > 1e-4 * scale
 
@@ -286,8 +291,8 @@ def test_numerator_c1_closed_form(sol_case1):
     p = CASE_I
     zero = find_coeff_zero(p)
     boundary = sol_case1.boundary_vector()
-    z0 = complex(branch_small(p, zero.alpha)).real
-    value = numerator_value(p, boundary, zero.alpha, z0)
+    z0 = branch_small_real(p, zero.alpha)
+    value = numerator_value(p, boundary, zero.alpha, z0) * z0 ** p.c
     h2 = p.lam * z0 ** 2 - (p.lam + p.mu) * z0 + p.mu
     expected = -p.lam * z0 * h2 * boundary[0] / (p.mu - p.lam * z0)
     assert value == pytest.approx(expected, rel=1e-10)
@@ -301,8 +306,8 @@ def test_numerator_c2_closed_form(sol_case1_c2):
     zero = find_coeff_zero(p)
     boundary = sol_case1_c2.boundary_vector()
     a = zero.alpha
-    z0 = complex(branch_small(p, a)).real
-    value = numerator_value(p, boundary, a, z0)
+    z0 = branch_small_real(p, a)
+    value = numerator_value(p, boundary, a, z0) * z0 ** p.c
     expected = z0 ** 2 * (
         p.lam * (z0 - 1.0) * boundary[1]
         + 2 * a * (p.lam * boundary[0] - p.mu * boundary[1]) / (2 * a + p.lam)
@@ -385,6 +390,5 @@ def test_coeff_scale_matches_scalar_loop(rng):
     for p in tuples:
         alpha1 = branch_points(p).alpha1
         grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
-        loop = max(abs(complex(density_coeff_reduced(p, a, branch_small(p, a))).real)
-                   for a in grid)
+        loop = max(abs(folded_coeff(p, a, branch_small_real(p, a))) for a in grid)
         assert np.max(np.abs(roots._coeff_grid(p, alpha1))) == pytest.approx(loop, rel=1e-12)
