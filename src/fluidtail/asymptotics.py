@@ -304,29 +304,30 @@ class TailReport:
 def _phase_extraction_coeffs(params: ModelParams, report: TailReport, n_phases: int) -> np.ndarray:
     """Exact coefficients R_j of the folded-coefficient/kernel ratio.
 
-    R_j is the z^j coefficient of (P z - c mu) / K(alpha*, z) with
-    P = lam*A_{c-2} + mu - alpha*(r+1); phase c-1+j of the joint tail scales
-    by R_j, and R_0 = 1 exactly.  In the POLE case the small-root pole
-    cancels (its residue is the defining zero), leaving a pure geometric
-    sequence in 1/z_large; at the branch point the double root contributes a
-    linear-in-j factor in the BRANCH_ONLY case.  The two roots are the
-    report's z_star and z_large.
+    R_j is the z^j coefficient of g(alpha*, z) / K(alpha*, z), with g the
+    folded coefficient (roots.folded_coeff), linear in z; phase c-1+j of the
+    joint tail scales by R_j, and R_0 = 1 exactly.  In the POLE case the
+    small-root pole cancels (its residue is the defining zero), leaving a
+    pure geometric sequence in 1/z_large; at the branch point the double
+    root contributes a linear-in-j factor in the BRANCH_ONLY case, through
+    the slope dg/dz, whose complex step is exact on a line.  The two roots
+    are the report's z_star and z_large.
     """
-    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    lam = params.lam
     alpha_star, z0, z1 = report.alpha_star, report.z_star, report.z_large
-    links = chain_links(params, alpha_star)
-    p_val = lam * (links[-1] if links else 0.0) + mu - alpha_star * (r + 1.0)
+    dens = chain_pivots(params, alpha_star)[0]
+    g = lambda w: folded_coeff(params, alpha_star, w, dens)
     j = np.arange(n_phases)
     if report.case is TailCase.POLE:
-        b_res = (p_val * z1 - c * mu) / (z1 - z0)
+        b_res = g(z1) / (z1 - z0)
         out = (b_res / lam) * z1 ** (-(j + 1.0))
     elif abs(z0 - z1) < 1e-9 * abs(z1):
         zs = 0.5 * (z0 + z1)
-        out = (p_val / lam) * zs ** (-(j + 1.0)) \
-            - ((p_val * zs - c * mu) / lam) * (j + 1.0) * zs ** (-(j + 2.0))
+        out = (_derivative(g, zs) / lam) * zs ** (-(j + 1.0)) \
+            - (g(zs) / lam) * (j + 1.0) * zs ** (-(j + 2.0))
     else:
-        a_res = (p_val * z0 - c * mu) / (z0 - z1)
-        b_res = (p_val * z1 - c * mu) / (z1 - z0)
+        a_res = g(z0) / (z0 - z1)
+        b_res = g(z1) / (z1 - z0)
         out = (a_res * z0 ** (-(j + 1.0)) + b_res * z1 ** (-(j + 1.0))) / lam
     return np.real(out)
 
@@ -440,7 +441,10 @@ def kernel_boundary(params: ModelParams) -> tuple:
     in one call.  As in spectral.solve_truncated the c x c system is solved
     for t_i = Pi_i(0) / xi_i, after scaling each row to unit max-norm.  The
     error estimate is the system's 1-norm condition number times its
-    componentwise backward error (at least machine epsilon).  The system
+    componentwise backward error (at least machine epsilon).  The condition
+    number ||S||_1 ||S^-1||_1 is the product of the largest column sums of
+    |S| and |S^-1|, with S^-1 from one np.linalg.inv: the formula
+    np.linalg.cond(S, 1) evaluates, without its wrappers.  The system
     loses digits as c grows, fastest at low load; an estimate above
     _MAX_RTOL raises FluidTailError.  At many servers and light load the
     null vectors underflow, and a row that is zero (or not finite) raises
@@ -467,14 +471,16 @@ def kernel_boundary(params: ModelParams) -> tuple:
     system /= scale[:, None]
     rhs /= scale
     t = np.linalg.solve(system, rhs)
-    backward = np.abs(system @ t - rhs) / (np.abs(system) @ np.abs(t) + np.abs(rhs))
-    err = float(np.linalg.cond(system, 1) * max(np.finfo(float).eps, float(backward.max())))
+    abs_system = np.abs(system)
+    backward = np.abs(system @ t - rhs) / (abs_system @ np.abs(t) + np.abs(rhs))
+    cond = abs_system.sum(axis=0).max() * np.abs(np.linalg.inv(system)).sum(axis=0).max()
+    err = float(cond) * max(_EPS, float(backward.max()))
     if not err < _MAX_RTOL:
         raise FluidTailError(
             f"kernel boundary masses too inaccurate: error estimate {err:.2g} "
             f"is not below {_MAX_RTOL:g} (c={c})"
         )
-    return checked_boundary(params, t * xi, "kernel"), err
+    return checked_boundary(params, (t * xi).tolist(), "kernel"), err
 
 
 def analyze(params: ModelParams) -> TailReport:

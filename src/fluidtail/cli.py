@@ -39,7 +39,8 @@ def _emit(args, payload: dict, csv_text: str | None = None):
     if args.format == "csv" and csv_text is not None:
         text = csv_text
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        # the payloads are trees built here, so no cycle check is needed
+        text = json.dumps(payload, indent=2, check_circular=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FluidTailError as exc:
         error = {"schema": SCHEMA, "error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(error, indent=2) + "\n")
+        sys.stdout.write(json.dumps(error, indent=2, check_circular=False) + "\n")
         return 2
 
 

@@ -55,7 +55,11 @@ class PhaseDistribution:
 
     Probabilities are evaluated from the closed form, in log space so that
     large ``c`` does not overflow the factorials.  Beyond phase ``c`` the
-    distribution is exactly geometric with ratio ``lam / (c*mu)``.
+    distribution is exactly geometric with ratio ``lam / (c*mu)``.  The log
+    terms ``i log(rho) - log(i!)`` of phases 0..c are taken once, on Python
+    floats (``math.lgamma``), and normalized by a log-sum-exp over
+    ``math.fsum``.  ``prob`` reads them; ``probs``, which fills the oracle's
+    N-long arrays, exponentiates them with numpy.
     """
 
     def __init__(self, params: ModelParams):
@@ -67,25 +71,28 @@ class PhaseDistribution:
         self.rho = params.lam / params.mu
         self.tail_ratio = params.lam / (params.c * params.mu)
         c, log_rho = params.c, math.log(self.rho)
-        log_terms = np.arange(c) * log_rho - _log_factorials(c)
-        log_last = c * log_rho - math.lgamma(c) - math.log(c - self.rho)
-        self._log_xi0 = -_logsumexp(np.append(log_terms, log_last))
+        self._log_head = [i * log_rho - math.lgamma(i + 1) for i in range(c + 1)]
+        log_terms = self._log_head[:c]
+        # the phases >= c sum to the last of the normalization's terms
+        log_terms.append(c * log_rho - math.lgamma(c) - math.log(c - self.rho))
+        top = max(log_terms)
+        self._log_xi0 = -top - math.log(math.fsum(math.exp(t - top) for t in log_terms))
 
     def prob(self, i: int) -> float:
         """Stationary probability of phase i."""
-        c, log_rho = self.params.c, math.log(self.rho)
+        c = self.params.c
         if i < 0:
             return 0.0
         if i <= c:
-            return math.exp(self._log_xi0 + i * log_rho - math.lgamma(i + 1))
+            return math.exp(self._log_xi0 + self._log_head[i])
         return self.prob(c) * self.tail_ratio ** (i - c)
 
     def probs(self, n: int) -> np.ndarray:
         """Vector of stationary probabilities for phases 0..n-1."""
-        c, log_rho = self.params.c, math.log(self.rho)
+        c = self.params.c
         m = min(n, c + 1)
         out = np.empty(n)
-        out[:m] = np.exp(self._log_xi0 + np.arange(m) * log_rho - _log_factorials(m))
+        out[:m] = np.exp(self._log_xi0 + np.array(self._log_head[:m]))
         if n > c + 1:
             j = np.arange(c + 1, n)
             out[c + 1:] = self.prob(c) * self.tail_ratio ** (j - c)
@@ -178,12 +185,17 @@ class BoundaryVector:
     source: str = "user-supplied"
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
-        if m.ndim != 1 or m.size < 1:
+        m = []
+        if getattr(self.masses, "ndim", 1) == 1:
+            try:
+                m = [float(x) for x in self.masses]
+            except TypeError:   # a scalar, or an entry that is itself a sequence
+                pass
+        if not m:
             raise ValueError("masses must be a nonempty 1-d sequence")
-        if np.any(m < -1e-10):
-            raise ValueError(f"negative boundary mass: {m.min()}")
-        object.__setattr__(self, "masses", tuple(np.maximum(m, 0.0)))
+        if any(x < -1e-10 for x in m):
+            raise ValueError(f"negative boundary mass: {min(m)}")
+        object.__setattr__(self, "masses", tuple(0.0 if x <= 0.0 else x for x in m))
 
     def __getitem__(self, i: int) -> float:
         return self.masses[i]
@@ -195,17 +207,19 @@ class BoundaryVector:
 def checked_boundary(params: ModelParams, masses, source: str) -> BoundaryVector:
     """BoundaryVector of the draining-phase masses of a solve, validated.
 
-    Refuses a negative mass beyond roundoff and masses that break the
-    level-zero balance lam Pi_0(0) >= mu Pi_1(0).
+    Refuses (FluidTailError) a negative mass beyond roundoff and masses that
+    break the level-zero balance lam Pi_0(0) >= mu Pi_1(0).  Both checks run
+    on Python floats, which BoundaryVector takes as they are; it owns the
+    shape check and the clamp of roundoff negatives to 0.
     """
-    p = np.asarray(masses[: params.c], dtype=float)
-    if np.any(p < -1e-10):
-        raise FluidTailError(f"negative boundary mass from the solve: {p.min()}")
+    p = [float(x) for x in masses[: params.c]]
+    if any(x < -1e-10 for x in p):
+        raise FluidTailError(f"negative boundary mass from the solve: {min(p)}")
     if params.c >= 2:
         slack = params.lam * p[0] - params.mu * p[1]
         if slack < -1e-9 * max(1.0, abs(p[0])):
             raise FluidTailError(f"boundary masses violate the level-zero balance: {slack}")
-    return BoundaryVector(masses=tuple(np.maximum(p, 0.0)), source=source)
+    return BoundaryVector(masses=p, source=source)
 
 
 _LOG_MAX = math.log(np.finfo(float).max)

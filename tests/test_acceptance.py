@@ -198,7 +198,7 @@ def test_criterion_4_monte_carlo_case3_vs_oracle(rates_setup):
 
 @pytest.mark.xfail(reason="x^-3/2 regime unreachable at 1e7 events for this tuple: "
                           "the window-slope bias is +10%/-15% even on the exact "
-                          "oracle curve, before sampling noise", strict=False)
+                          "oracle curve, before sampling noise")
 def test_criterion_4_literal_case3_mc_rate():
     p = CASE_III
     alpha_star = 2.5147186257614296
