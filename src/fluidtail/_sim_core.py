@@ -8,14 +8,15 @@ the event cut by the horizon is not consumed.  Event times, levels and
 samples are whole-array operations over sub-blocks of at most `_BLOCK`
 events, and each sub-block's exponentials and uniforms are drawn as it is
 built, into reused buffers.  The samples of a sub-block go to the caller's
-sink in pieces of at most `_BLOCK` grid points, so no buffer grows with the
+sink in pieces of at most `_BLOCK` samples, so no buffer grows with the
 horizon or the stride.  Once the horizon is in sight, a sub-block is sized
 from the time left and the event rate so far, so that few events are built
 (and few draws made) past the horizon.
 
-Events and samples are both in time order, so `_sample_events` finds each
-stride sample's event from per-event sample counts (an even-stride guess,
-checked against the samples), with no search per sample.
+Sample i (i >= 1) is at time `warmup + i*stride`, computed from its index,
+so the grid does not drift with the horizon.  `sample_count` counts the
+samples at or before each event's end, and a piece of samples finds its
+events by `np.repeat` over the per-event counts, with no search per sample.
 
 The phase path is a recursion, `x + 1` if `x < th[k]` else `x - 1`, and
 `_phase_path` computes it exactly with whole-array steps.  The sub-block is
@@ -155,41 +156,17 @@ def _phase_path(th, x0, c):
     return xs[:n + 1]
 
 
-def _sample_events(ends, ts, stride):
-    """Event of each sample, `np.searchsorted(ends[:-1], ts, side="left")`, from counts.
+def sample_count(t, warmup, stride):
+    """Samples at or before time `t`, a float or an array: `#{i >= 1 : warmup + i*stride <= t}`.
 
-    `ends` and `ts` are sorted, and `ts` steps by about `stride`.  The count
-    of samples at or before each event's end starts from the even-stride
-    guess and moves by one against the real `ts` until no count moves; `ts`
-    is a running sum whose rounding drifts far less than a stride, so the
-    guess is off only next to a tie, and by one.  Sample i then lies in
-    event `#{k : count[k] <= i}`.
+    Sample i is at time `warmup + i*stride`.  The quotient's floor can be one off next to a
+    sample time, from rounding; one step against the sample times themselves makes the count
+    exact, so a horizon of `warmup + n*stride` holds n samples.
     """
-    m = ts.shape[0]
-    e = ends[:-1]
-    guess = (e - ts[0]) / stride
-    np.clip(guess, -1.0, m, out=guess)
-    cnt = guess.astype(np.int64)
-    cnt += 1
-    np.minimum(cnt, m, out=cnt)
-
-    def moves(c, ec):
-        """+1 where the next sample is at or before the end, -1 where the last one is after it."""
-        up = ts.take(c, mode="clip") <= ec
-        up &= c < m
-        down = ts.take(c - 1, mode="clip") > ec
-        down &= c > 0
-        return up.view(np.int8) - down.view(np.int8)
-
-    step = moves(cnt, e)
-    k = np.flatnonzero(step)
-    step = step[k]
-    while k.size:
-        cnt[k] += step
-        step = moves(cnt[k], e[k])
-        moved = step != 0
-        k, step = k[moved], step[moved]
-    return np.cumsum(np.bincount(cnt, minlength=m + 1)[:m])
+    k = np.floor((t - warmup) / stride)
+    k += warmup + (k + 1.0) * stride <= t
+    k -= warmup + k * stride > t
+    return np.maximum(k, 0.0).astype(np.int64)
 
 
 def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms, sink, max_phase):
@@ -202,18 +179,19 @@ def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms, 
     `uniforms.random(out=buf)` (`numpy.random.Generator`s, or anything that
     fills `buf` in the same order).  Between jumps the level moves linearly
     at the phase's net rate and is clamped at zero exactly: a sample landing
-    after the hitting time reads zero, not a negative excursion.  Samples are
-    taken every `stride` time units after `warmup`, on a grid that is a
-    running sum from `warmup + stride`, built at most `_BLOCK` points at a
-    time; each is read on its event interval (`_sample_events`).  Each piece
-    goes to `sink(levels, phases)`, valid during the call only, in time
-    order; phases above `max_phase` are given as `max_phase`.
+    after the hitting time reads zero, not a negative excursion.  Sample i
+    (i >= 1) is taken at time `warmup + i*stride`, the samples up to the
+    horizon counted by `sample_count`; only the count taken so far carries
+    from one sub-block to the next.  Each sample is read on the event
+    interval that holds it, and the samples go to `sink(levels, phases)` in
+    pieces of at most `_BLOCK`, valid during the call only, in time order;
+    phases above `max_phase` are given as `max_phase`.
     """
     rates = lam + np.arange(c + 1) * mu
     # rate and net rate of phases 0..c; every phase from c up moves as c
     table = np.stack((rates, np.append(np.arange(-c, 0.0), r)))
-    ubuf, ebuf, sbuf = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
-    t, next_sample, n_written, used, size = 0.0, warmup + stride, 0, 0, _BLOCK
+    ubuf, ebuf = np.empty(_BLOCK), np.empty(_BLOCK)
+    t, taken, used, size = 0.0, 0, 0, _BLOCK
     while t < t_end:
         n = size
         us = uniforms.random(out=ubuf[:n])
@@ -257,40 +235,32 @@ def advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps, uniforms, 
         np.maximum(levels, 0.0, out=levels)
         del walk
 
-        # samples in (t, ends[-1]], a piece of at most _BLOCK grid points at a time, each
-        # read on the event interval holding it and handed to the sink
-        t_last = float(ends[-1])
-        while True:
-            m = min(_BLOCK, max(int((t_last - next_sample) / stride), 0) + 2)
-            st = sbuf[:m]
-            st.fill(stride)
-            st[0] = next_sample
-            np.cumsum(st, out=st)
-            due = int(np.searchsorted(st, t_last, side="right"))
-            w0 = int(np.searchsorted(st[:due], warmup, side="right"))
-            if due > w0:
-                ts = st[w0:due]
-                # the events that hold the piece's first and last samples
-                lo = int(np.searchsorted(ends[:-1], ts[0], side="left"))
-                hi = int(np.searchsorted(ends[:-1], ts[-1], side="left")) + 1
-                ev = _sample_events(ends[lo:hi], ts, stride)
-                y = ts - starts[lo:hi].take(ev)
-                y *= net[lo:hi].take(ev)
-                np.add(levels[lo:hi].take(ev), y, out=y)
-                np.maximum(y, 0.0, out=y)
-                sink(y, np.minimum(x[lo:hi].take(ev), max_phase))
-                n_written += due - w0
-            if due < m:
-                next_sample = float(st[due])
-                break
-            next_sample = float(st[-1] + stride)
+        # samples in (t, ends[-1]]: event j holds those counted after its start and by its
+        # end; they go to the sink a piece of at most _BLOCK samples at a time
+        counts = sample_count(times[:n + 1], warmup, stride)
+        total = int(counts[-1])
+        for a in range(taken, total, _BLOCK):
+            b = min(a + _BLOCK, total)
+            # the events that hold the piece's first and last samples
+            lo = int(np.searchsorted(counts, a, side="right")) - 1
+            hi = int(np.searchsorted(counts, b, side="left"))
+            ev = np.repeat(np.arange(lo, hi), np.diff(np.clip(counts[lo:hi + 1], a, b)))
+            y = np.arange(a + 1, b + 1, dtype=float)
+            y *= stride
+            y += warmup
+            y -= starts.take(ev)
+            y *= net.take(ev)
+            np.add(levels.take(ev), y, out=y)
+            np.maximum(y, 0.0, out=y)
+            sink(y, np.minimum(x.take(ev), max_phase))
+        taken = total
 
         level = float(levels[-1])
-        t = t_last
+        t = float(ends[-1])
         used += consumed
         if t > 0.0:
             # events expected before the horizon, with a margin of four standard deviations;
             # a sub-block that still falls short is followed by another
             expected = (t_end - t) * used / t
             size = min(_BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 64)
-    return phase, level, n_written, used
+    return phase, level, taken, used

@@ -441,7 +441,10 @@ def kernel_boundary(params: ModelParams) -> tuple:
     in one call.  As in spectral.solve_truncated the c x c system is solved
     for t_i = Pi_i(0) / xi_i, after scaling each row to unit max-norm.  The
     error estimate is the system's 1-norm condition number times its
-    componentwise backward error (at least machine epsilon).  The condition
+    componentwise backward error (at least machine epsilon), plus the mean
+    drift's rounding: the masses scale with the drift, a sum of terms of both
+    signs, so they carry 10 eps times its condition, the sum of the terms'
+    sizes over the drift's size.  The condition
     number ||S||_1 ||S^-1||_1 is the product of the largest column sums of
     |S| and |S^-1|, with S^-1 from one np.linalg.inv: the formula
     np.linalg.cond(S, 1) evaluates, without its wrappers.  The system
@@ -456,10 +459,15 @@ def kernel_boundary(params: ModelParams) -> tuple:
     if c > 1:
         dens, _ = chain_pivots(params, growing_zeros(params))
         u[1:, :-1] = np.transpose(null_vector(params.lam, dens)[:-1])
-    xi = phase_stationary(params).probs(c)
+    law = phase_stationary(params)
+    xi = law.probs(c)
     system = u * ((i - c) * xi)
     rhs = np.zeros(c)
-    rhs[0] = require_stable(params).mean_drift
+    drift = require_stable(params).mean_drift
+    rhs[0] = drift
+    # drift = r T - S, T the mass of the phases from c up and S = sum_i (c - i) xi_i, so its
+    # terms' sizes sum to r T + S = 2 r T - drift
+    drift_cond = 1.0 - 2.0 * params.r * law.tail_mass(c) / drift
     scale = np.abs(system).max(axis=1)
     lost = np.count_nonzero(~(np.isfinite(scale) & (scale > 0.0)))
     if lost:
@@ -474,7 +482,7 @@ def kernel_boundary(params: ModelParams) -> tuple:
     abs_system = np.abs(system)
     backward = np.abs(system @ t - rhs) / (abs_system @ np.abs(t) + np.abs(rhs))
     cond = abs_system.sum(axis=0).max() * np.abs(np.linalg.inv(system)).sum(axis=0).max()
-    err = float(cond) * max(_EPS, float(backward.max()))
+    err = float(cond) * max(_EPS, float(backward.max())) + 10.0 * _EPS * drift_cond
     if not err < _MAX_RTOL:
         raise FluidTailError(
             f"kernel boundary masses too inaccurate: error estimate {err:.2g} "

@@ -35,17 +35,20 @@ def _params(args) -> ModelParams:
     return ModelParams(c=args.c, lam=args.lam, mu=args.mu, r=args.r)
 
 
-def _emit(args, payload: dict, csv_text: str | None = None):
-    if args.format == "csv" and csv_text is not None:
-        text = csv_text
-    else:
-        # the payloads are trees built here, so no cycle check is needed
-        text = json.dumps(payload, indent=2, check_circular=False) + "\n"
-    if args.out:
+def _json(payload: dict) -> str:
+    # the payloads are trees built here, so no cycle check is needed
+    return json.dumps(payload, indent=2, check_circular=False) + "\n"
+
+
+def _emit(args, text: str):
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
 
 
 def _prefactor_val(report, value) -> dict:
@@ -91,7 +94,7 @@ def cmd_analyze(args) -> int:
     params = _params(args)
     report = asymptotics.analyze(params)
     payload = _report_payload(report)
-    _emit(args, payload, _report_csv(payload) if args.format == "csv" else None)
+    _emit(args, _report_csv(payload) if args.format == "csv" else _json(payload))
     return 0
 
 
@@ -107,10 +110,9 @@ def cmd_solve(args) -> int:
     if args.format == "csv":
         top = -sol.eigenvalues[0].real
         xs = np.linspace(0.0, args.grid_max or 30.0 / top, args.grid_points)
-        _emit(args, {}, spectral.curves_csv(sol, xs))
+        _emit(args, spectral.curves_csv(sol, xs))
     else:
-        payload = json.loads(spectral.summary_json(sol))
-        _emit(args, payload)
+        _emit(args, spectral.summary_json(sol) + "\n")
     return 0
 
 
@@ -121,10 +123,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed, sample_stride=args.stride,
     )
     est = simulate(cfg)
-    if args.format == "csv":
-        _emit(args, {}, survival_csv(est))
-    else:
-        _emit(args, json.loads(summary_json(est)))
+    _emit(args, survival_csv(est) if args.format == "csv" else summary_json(est) + "\n")
     return 0
 
 
@@ -213,7 +212,7 @@ def cmd_validate(args) -> int:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
     }
-    _emit(args, payload)
+    _emit(args, _json(payload))
     key_width = max(len(k) for k in checks)
     for key, chk in checks.items():
         status = "ok" if chk["pass"] else "FAIL"
@@ -289,7 +288,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FluidTailError as exc:
         error = {"schema": SCHEMA, "error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(error, indent=2, check_circular=False) + "\n")
+        sys.stdout.write(_json(error))
         return 2
 
 

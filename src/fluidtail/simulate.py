@@ -4,13 +4,14 @@ The phase process jumps at exponential clocks (rate lam up, min(i, c)*mu
 down); between jumps the level moves linearly at the phase's net rate and is
 reflected at zero.  The time-stationary law is estimated by sampling at a
 fixed stride, which is what the analytic pipeline's stationary quantities
-refer to.  Randomness comes from two counter-based generators (Philox),
-spawned from the seed by `np.random.SeedSequence`: one draws the holding
-times' exponentials, the other the uniforms that pick each jump's
-direction.  A (config, seed) pair always gives the same output, and runs
-are trivially parallel across seeds.  One vectorized engine
-(`_sim_core.advance`) moves the sample path from time 0 to the horizon,
-event k taking the k-th draw of each stream.
+refer to: sample i (i >= 1) is taken at time warmup + i*stride, and
+`_sim_core.sample_count` alone counts the samples up to a time.  Randomness
+comes from two counter-based generators (Philox), spawned from the seed by
+`np.random.SeedSequence`: one draws the holding times' exponentials, the
+other the uniforms that pick each jump's direction.  A (config, seed) pair
+always gives the same output, and runs are trivially parallel across
+seeds.  One vectorized engine (`_sim_core.advance`) moves the sample path
+from time 0 to the horizon, event k taking the k-th draw of each stream.
 
 No sample is stored: the engine hands each piece of stride samples to a
 sink, `_Histogram`, that bins it exactly into N_BINS bins below a power of
@@ -157,7 +158,8 @@ def simulate(config: SimConfig, fit: bool = True) -> SurvivalEstimate:
     p = config.params
     exps, uniforms = (np.random.Generator(np.random.Philox(s))
                       for s in np.random.SeedSequence(config.seed).spawn(2))
-    hist = _Histogram(int((config.horizon - config.warmup) / config.sample_stride) + 2)
+    hist = _Histogram(int(_sim_core.sample_count(config.horizon, config.warmup,
+                                                 config.sample_stride)))
     _, _, n_written, n_events = _sim_core.advance(
         0, 0.0, config.horizon, config.warmup, config.sample_stride, p.lam, p.mu, p.c, p.r,
         exps, uniforms, hist, TRACKED_PHASES,

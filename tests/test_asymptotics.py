@@ -448,6 +448,23 @@ def test_kernel_boundary_refuses_inaccurate_masses():
         kernel_boundary(ModelParams(c=80, lam=4.0, mu=1.0, r=2.0))
 
 
+def test_kernel_mass_estimate_covers_the_drift_rounding():
+    # the masses scale with the mean drift, a sum of terms of both signs; here its condition
+    # is 24 and the double drift is 7.6e-15 relative off the 50-digit one, ten times the
+    # system's own share of the estimate
+    mpmath = pytest.importorskip("mpmath")
+    p = ModelParams(c=3, lam=0.3980915942385817, mu=0.2623205066542573, r=5.613685968335638)
+    _, err = kernel_boundary(p)
+    drift = phase_stationary(p).mean_drift()
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(p.lam) / mpmath.mpf(p.mu)
+        head = [rho ** i / mpmath.factorial(i) for i in range(p.c + 1)]
+        tail = head[p.c] / (1 - rho / p.c)
+        want = ((mpmath.fsum((i - p.c) * head[i] for i in range(p.c)) + p.r * tail)
+                / (mpmath.fsum(head[:p.c]) + tail))
+        assert abs(drift - want) <= err * abs(want)
+
+
 def test_kernel_masses_c1_closed_form(rng):
     # the zero-mode row alone: Pi_0(0) = -mean drift
     for _ in range(10):

@@ -189,6 +189,15 @@ def test_solve_json_and_csv(capsys, tmp_path):
     assert len(lines) == 1 + 11 * 9
 
 
+def test_out_path_that_cannot_be_opened_gets_a_structured_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, out, _ = run_cli(capsys, "analyze", *REFERENCE_ARGS["I"], "--out", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InvalidInputError"
+    assert str(path) in error["message"]
+
+
 def test_simulate_json(capsys):
     # at this budget the fitted rate's sd over seeds is about 5% of 0.5, well inside the
     # 15% bound; at a tenth of it the fit's own 95% CI is about 33% wide
@@ -206,12 +215,13 @@ def test_simulate_json(capsys):
 # sha256 of the simulate JSON stdout at fixed seeds: a change in what the simulator
 # prints for a (config, seed) shows here.  A numpy release that changes the Philox
 # stream, SeedSequence.spawn, or the exponential and uniform samplers changes them too,
-# and so does a change to the level histogram that the window and the fit read.
+# and so does a change to the sample grid, or to the level histogram and its time blocks
+# that the window and the fit read.
 SIMULATE_STDOUT_SHA256 = {
-    "I": ("da6e15995febee9bebd47ab75a726e17175a32f910dc7f5ae4f57d68a17c4910",
+    "I": ("1a7581caf894393e54765257898c22e8d23de8857ed784b83bf35231aed27239",
           ["--horizon", "20000.0", "--stride", "0.05", "--seed", "7"]),
     # 80789 events: more than one engine sub-block
-    "III": ("2e9397e2cc0e999455d070c39c6e0eac5f4bf92219a7712d694296c505a2267d",
+    "III": ("6660eb8dd2d09334a3df7257dadcc066ed4732b098ef3285ea60066821df2a41",
             ["--horizon", "2000.0", "--stride", "0.005", "--seed", "7"]),
 }
 

@@ -76,14 +76,9 @@ def _raw_samples(cfg):
     return levels, phases, used
 
 
-def _n_max(cfg):
-    """The sample count `simulate` sizes its time blocks by."""
-    return int((cfg.horizon - cfg.warmup) / cfg.sample_stride) + 2
-
-
-def _block_of(n, n_max, n_blocks=N_BLOCKS):
-    """Time block of each of n samples, as the histogram assigns them."""
-    return np.minimum(np.arange(n) * n_blocks // n_max, n_blocks - 1)
+def _block_of(n, n_blocks=N_BLOCKS):
+    """Time block of each of n samples, as the histogram sized by n assigns them."""
+    return np.minimum(np.arange(n) * n_blocks // n, n_blocks - 1)
 
 
 CASE1_CONFIG = make_config(CASE_I, horizon=2e5, samples=400_000)
@@ -144,6 +139,29 @@ def test_horizon_off_the_block_grid():
     assert abs(est.n_samples - 1003) <= 1
 
 
+@pytest.mark.parametrize("warmup, stride, n", [(10.0, 0.37, 100_000), (0.0, 0.05, 2_000_000)])
+def test_horizon_on_the_sample_grid_gives_every_sample(warmup, stride, n):
+    # sample i is at warmup + i*stride, so a horizon of warmup + n*stride holds n samples; a
+    # grid summed stride by stride lands past the horizon at these tuples and loses the last
+    cfg = SimConfig(params=CASE_I, horizon=warmup + n * stride, seed=1, warmup=warmup,
+                    sample_stride=stride)
+    assert simulate(cfg, fit=False).n_samples == n
+
+
+def test_sample_count_is_exact_next_to_the_sample_times():
+    # on, one ulp before and one ulp after the sample times, where the quotient's floor alone
+    # is one off in about 6% of the times
+    rng = np.random.Generator(np.random.Philox(23))
+    for _ in range(200):
+        warmup = float(rng.choice([0.0, rng.uniform(0.0, 100.0), rng.uniform(0.0, 1e6)]))
+        stride = float(10.0 ** rng.uniform(-6.0, 2.0))
+        i = rng.integers(0, 10 ** int(rng.integers(1, 12)), 100).astype(float)
+        on = warmup + i * stride
+        for t, expected in [(on, i), (np.nextafter(on, np.inf), i),
+                            (np.nextafter(on, -np.inf), np.maximum(i - 1.0, 0.0))]:
+            assert np.array_equal(_sim_core.sample_count(t, warmup, stride), expected)
+
+
 def test_kernel_level_dynamics_handmade():
     # two crafted events check the linear motion and the exact zero clamp
     sink = _Recorder()
@@ -190,7 +208,7 @@ def test_phase_frequencies_match_background_law(est_case1, raw_case1):
     # the standard error from the per-block frequencies, the blocks sliced as the histogram
     # slices them
     _, phases, _ = raw_case1
-    block_of = _block_of(phases.size, _n_max(CASE1_CONFIG))
+    block_of = _block_of(phases.size)
     for i in range(4):
         block_vals = np.array([np.mean(phases[block_of == b] == i) for b in range(N_BLOCKS)])
         se = block_vals.std(ddof=1) / np.sqrt(len(block_vals))
@@ -247,7 +265,7 @@ def test_tables_match_histograms(est_case1, raw_case1):
     for i in range(est.phase_survival.shape[0]):
         counts, _ = np.histogram(levels[phases == i], bins=edges)
         assert np.array_equal(est.phase_survival[i], (counts.sum() - np.cumsum(counts)) / n)
-    block_of = _block_of(n, _n_max(CASE1_CONFIG))
+    block_of = _block_of(n)
     for b in range(N_BLOCKS):
         counts, _ = np.histogram(levels[block_of == b], bins=edges)
         assert np.array_equal(est.block_counts[b], counts)
@@ -275,7 +293,7 @@ def test_tabulate_blocks_are_slices_of_the_samples(n, n_blocks):
     phases = rng.integers(0, 33, n)
     grid, _, phase_survival, block_counts, freq = _binned(levels, phases, n_blocks).tables()
     edges = np.linspace(0.0, grid[-1], N_BINS + 1)
-    block_of = _block_of(n, n, n_blocks)
+    block_of = _block_of(n, n_blocks)
     for b in range(n_blocks):
         counts, _ = np.histogram(levels[block_of == b], bins=edges)
         assert np.array_equal(block_counts[b], counts)
@@ -533,7 +551,8 @@ def _reference_advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps,
     """
     n_events = exps.shape[0]
     out_level, out_phase = [], []
-    t, next_sample, k = 0.0, warmup + stride, 0
+    t, k, i = 0.0, 0, 1   # sample i is at time warmup + i*stride
+    next_sample = warmup + i * stride
     while k < n_events and t < t_end:
         service = phase * mu if phase < c else c * mu
         rate = lam + service
@@ -555,7 +574,8 @@ def _reference_advance(phase, level, t_end, warmup, stride, lam, mu, c, r, exps,
                     x = 0.0
                 out_level.append(x)
                 out_phase.append(phase if phase < max_phase else max_phase)
-            next_sample += stride
+            i += 1
+            next_sample = warmup + i * stride
         level += net * tau
         if level < 0.0:
             level = 0.0
@@ -636,26 +656,3 @@ def test_advance_builds_few_events_past_the_horizon(monkeypatch):
     assert steps - used < 0.01 * used
     assert us.drawn - used < 0.01 * used
     assert exps.drawn - used < 0.01 * used
-
-
-def test_sample_events_match_searchsorted():
-    # ties, samples before the first end and past the last, sub-blocks of 1 and 2 events,
-    # strides 100 times above and below the event spacing, and grids cut at a warm-up
-    rng = np.random.Generator(np.random.Philox(13))
-    for _ in range(400):
-        n = int(rng.choice([1, 2, 3, 64, 3000]))
-        spacing = rng.exponential()
-        stride = spacing * float(rng.choice([0.01, 0.37, 1.0, 2.9, 100.0]))
-        t0 = rng.uniform(0.0, 1e4)
-        ends = t0 + np.cumsum(rng.exponential(spacing, n))
-        start = t0 + rng.uniform(-3.0, 1.0) * stride
-        m = max(int((ends[-1] - start) / stride), 0) + int(rng.integers(1, 4))
-        st = np.full(m, stride)
-        st[0] = start
-        np.cumsum(st, out=st)
-        ts = st[int(rng.integers(0, m)):]
-        tie = rng.random(n) < 0.3
-        ends[tie] = ts[rng.integers(0, ts.size, n)][tie]
-        ends.sort()
-        expected = np.searchsorted(ends[:-1], ts, side="left")
-        assert np.array_equal(_sim_core._sample_events(ends, ts, stride), expected)
