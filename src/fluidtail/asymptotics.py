@@ -17,13 +17,13 @@ masses, which numerator_value takes from the null vector of the
 draining-phase chain in O(c) steps.  The paper's form -N / f carries z^c
 in N and z^(c-1) in f; g and n leave that common factor out, so no z^c
 is taken on the way to a constant.  kernel_boundary finds the masses
-from the same identity, as those that make n vanish at the c-1 zeros of
-g on the negative axis, plus the stationary mean drift.  No truncation is
-involved.  Each case's constant is a derivative at alpha* of an evaluator
-the zero search or the identity already has: of the deflated coefficient
-in alpha (POLE), of g in z (POLE_AT_BRANCH) and of the continuation
-ratio in z (BRANCH_ONLY).  All three are taken by one
-complex step (_derivative).  Per-phase prefactors come from exact
+that make n vanish at the c-1 zeros of g on the negative axis, as the
+stationary law of the ladder generator whose eigenvalues they are, with
+no zero search and no truncation.  Each case's constant is a derivative
+at alpha* of an evaluator the zero search or the identity already has:
+of the deflated coefficient in alpha (POLE), of g in z (POLE_AT_BRANCH)
+and of the continuation ratio in z (BRANCH_ONLY), each by one complex
+step (_derivative).  Per-phase prefactors come from exact
 coefficient extraction of the folded-coefficient/kernel ratio, whose value
 at z = 0 is exactly 1, anchoring phase c-1.
 """
@@ -47,7 +47,6 @@ from .roots import (
     chain_pivots,
     find_coeff_zero,
     folded_coeff,
-    growing_zeros,
     null_vector,
 )
 
@@ -56,7 +55,9 @@ from .roots import (
 # larger relative error estimate are refused; their share of a prefactor's
 # error would near validate's 2% tolerance
 _MAX_RTOL = 1e-3
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+# _ladder_row drops block entries below _NEGLIGIBLE; each of its steps doubles the levels spanned
+_NEGLIGIBLE, _MAX_STEPS = 1e-100, 64
 
 
 class TailCase(enum.Enum):
@@ -425,70 +426,102 @@ def boundary_mass_tail(params: ModelParams, boundary: BoundaryVector) -> Boundar
     return BoundaryMassTail(d_ztilde=num / (lam * (zt - 1.0)), z_tilde=zt)
 
 
+def _ladder_row(params: ModelParams) -> tuple:
+    """(row, basis s, residual): row c-1 of the ladder matrix G, for c >= 2.
+
+    Watched only in the draining phases, with the level as the clock, the
+    net input reaches each new minimum in a phase that is a Markov chain
+    with generator Lam = D^-1 Q_cut + lam e_{c-1} g^T (Asmussen, "Ladder
+    heights and the Markov-modulated M/G/1 queue", Stoch. Proc. Appl. 37,
+    1991): D = diag(c-i), Q_cut the chain on phases 0..c-1 with the rate lam
+    out of phase c-1 kept on the diagonal, g^T row c-1 of G = E[exp(r Lam B)],
+    B an M/M/1 busy period (rates lam, c mu).  So G is the minimal solution,
+    stochastic for a stable tuple, of the quasi-birth-death equation
+    lam (I + r e_{c-1} e_{c-1}^T) G^2 - ((lam + c mu) I - r D^-1 Q_cut) G + c mu I = 0.
+    Logarithmic reduction (Latouche & Ramaswami, J. Appl. Probab. 30, 1993)
+    finds it with quadratic convergence, carrying row c-1 of G and of T, the
+    product of the up-blocks, until the paths not yet counted, T 1, weigh
+    less than eps; the residual is |1 - g 1|.  The blocks are taken under
+    the similarity by s (s_{c-1} = 1, s_i / s_{i+1} = min(1, (i+1) mu / lam)),
+    so row_j = g_j / s_j: an absolute error there moves kernel_boundary's t by
+    at most as much, and each solve drops entries below _NEGLIGIBLE (rounding's
+    negatives too), which would send BLAS through subnormal products.
+    """
+    c, lam, mu, r = params.c, params.lam, params.mu, params.r
+    i, k = np.arange(c), np.arange(1, c)
+    basis = np.append(np.cumprod(np.minimum(1.0, k * mu / lam)[::-1])[::-1], 1.0)
+    m = np.diag(lam + c * mu + r * (lam + i * mu) / (c - i))   # the local block, negated
+    m[k - 1, k] = -r * np.minimum(lam, k * mu) / (c - k + 1)
+    m[k, k - 1] = -r * np.maximum(lam, k * mu) / (c - k)
+    up, eye = np.append(np.full(c - 1, lam), lam * (1.0 + r)), np.eye(c)
+    rhs, row, t = np.concatenate((np.diag(up), c * mu * eye), 1), np.zeros(c), eye[-1]
+    for _ in range(_MAX_STEPS):
+        x = np.linalg.solve(m, rhs)   # [H, L]
+        x[x < _NEGLIGIBLE] = 0.0
+        tx = t @ x
+        row, t = row + tx[c:], tx[:c]
+        if t @ basis < _EPS:
+            return row, basis, abs(1.0 - float(row @ basis))
+        prod = np.concatenate((x[:, :c], x[:, c:])) @ x   # [H; L] [H, L]
+        m = eye - prod[:c, c:] - prod[c:, :c]
+        rhs = np.concatenate((prod[:c, :c], prod[c:, c:]), 1)
+    raise FluidTailError(f"ladder reduction not converged in {_MAX_STEPS} steps (c={c})")
+
+
 def kernel_boundary(params: ModelParams) -> tuple:
-    """Boundary masses Pi_i(0), i < c, from the kernel identity alone.
+    """Boundary masses Pi_i(0), i < c, from the ladder generator.
 
     Returns (BoundaryVector with source "kernel", relative error estimate).
-    The transform numerator N is linear in the masses p_i = Pi_i(0) and must
-    vanish at each of the c-1 growing zeros a < 0 of the folded coefficient
-    (roots.growing_zeros).  With Q_z, R and the chain's null vector u as in
-    _numerator_terms, z the small kernel root at a, N u_{c-1} / z^c is
-    u . Q_z^T p.  Row c-1 of (Q_z + a R) u vanishes exactly where f does, so
-    there u . Q_z^T p = -a sum_i (i-c) u_i p_i.  Each growing zero thus gives
-    the R-orthogonality row sum_i (i-c) u_i p_i = 0, and the zero mode
-    (a = 0, u = 1) gives sum_i (i-c) p_i = mean drift; for c = 1 that alone
-    reads Pi_0(0) = -mean drift.  u comes from the pivots, at all c-1 zeros
-    in one call.  As in spectral.solve_truncated the c x c system is solved
-    for t_i = Pi_i(0) / xi_i, after scaling each row to unit max-norm.  The
-    error estimate is the system's 1-norm condition number times its
-    componentwise backward error (at least machine epsilon), plus the mean
-    drift's rounding: the masses scale with the drift, a sum of terms of both
-    signs, so they carry 10 eps times its condition, the sum of the terms'
-    sizes over the drift's size.  The condition
-    number ||S||_1 ||S^-1||_1 is the product of the largest column sums of
-    |S| and |S^-1|, with S^-1 from one np.linalg.inv: the formula
-    np.linalg.cond(S, 1) evaluates, without its wrappers.  The system
-    loses digits as c grows, fastest at low load; an estimate above
-    _MAX_RTOL raises FluidTailError.  At many servers and light load the
-    null vectors underflow, and a row that is zero (or not finite) raises
-    FluidTailError before the scaling.
+    The masses p_i make the transform numerator vanish at the c-1 zeros of
+    the folded coefficient on the negative axis, and sum_i (c-i) p_i is
+    -mean drift (all there is for c = 1).  The zeros are the nonzero
+    eigenvalues of the ladder generator Lam of _ladder_row, with the chain's
+    null vectors as eigenvectors, so p D is Lam's left null vector: p is
+    stationary for Q_cut + lam e_{c-1} g^T, birth-death plus one row, where
+    GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) is the
+    cut equations lam p_k = (k+1) mu p_{k+1} + lam p_{c-1} sum_{j<=k} g_j.
+    For t = p / xi (xi the phase law, t_{c-1} = 1) they read t_k = t_{k+1} +
+    a_k v_k, v_k = v_{k-1} min(1, k mu / lam) + row_k, a_k = prod_{i>k} min(1, lam / (i mu)).
+
+    The estimate adds the reduction's residual (at least eps) times
+    2 sum_k a_k, as a change in the row moves each t_k by at most its
+    1-norm times that sum (v weighs row_j by s_j / s_k <= 1); 11 c eps for
+    the roundings of positive terms behind a mass, the entrywise bound of
+    subtraction-free elimination (O'Cinneide, Numer. Math. 65, 1993); up to
+    4 eps (1 + c |log(lam/mu)| + log c!) per xi_i from the phase law, in a
+    mass, in the scaling and times the drift's condition (its terms' sizes
+    over its size); and 10 eps times that condition for the drift's own
+    rounding.  An estimate of _MAX_RTOL or more raises FluidTailError, and
+    so does a mass below the normal range, which has no relative accuracy.
     """
-    c = params.c
-    i = np.arange(c)
-    u = np.ones((c, c))
-    if c > 1:
-        dens, _ = chain_pivots(params, growing_zeros(params))
-        u[1:, :-1] = np.transpose(null_vector(params.lam, dens)[:-1])
+    c, lam, mu = params.c, params.lam, params.mu
     law = phase_stationary(params)
-    xi = law.probs(c)
-    system = u * ((i - c) * xi)
-    rhs = np.zeros(c)
     drift = require_stable(params).mean_drift
-    rhs[0] = drift
-    # drift = r T - S, T the mass of the phases from c up and S = sum_i (c - i) xi_i, so its
-    # terms' sizes sum to r T + S = 2 r T - drift
+    # drift = r T - S, T the mass of phases >= c, S = sum_i (c-i) xi_i: terms' sizes 2 r T - drift
     drift_cond = 1.0 - 2.0 * params.r * law.tail_mass(c) / drift
-    scale = np.abs(system).max(axis=1)
-    lost = np.count_nonzero(~(np.isfinite(scale) & (scale > 0.0)))
-    if lost:
+    t, residual, a_sum = [1.0], 0.0, 0.0
+    if c > 1:
+        row, _, residual = _ladder_row(params)
+        v = []
+        for k, g in enumerate(row[:-1].tolist()):
+            v.append(v[-1] * min(1.0, k * mu / lam) + g if k else g)
+        a = 1.0
+        for k in range(c - 2, -1, -1):
+            a *= min(1.0, lam / ((k + 1) * mu))
+            a_sum += a
+            t.append(t[-1] + a * v[k])
+        t.reverse()
+    p = [ti * law.prob(i) for i, ti in enumerate(t)]
+    scale = -drift / math.fsum((c - i) * pi for i, pi in enumerate(p))
+    p = [pi * scale for pi in p]
+    phase_law = 4.0 * _EPS * (1.0 + c * abs(math.log(lam / mu)) + math.lgamma(c + 1))
+    err = (2.0 * a_sum * max(residual, _EPS) + 11 * c * _EPS
+           + phase_law * (2.0 + drift_cond) + 10.0 * _EPS * drift_cond)
+    if not (err < _MAX_RTOL and min(p) >= _TINY):
         raise FluidTailError(
-            f"kernel boundary masses out of the double range: {lost} of the c = {c} rows "
-            f"of the mass system are zero or not finite, their null vectors or phase "
-            f"probabilities past the double range"
-        )
-    system /= scale[:, None]
-    rhs /= scale
-    t = np.linalg.solve(system, rhs)
-    abs_system = np.abs(system)
-    backward = np.abs(system @ t - rhs) / (abs_system @ np.abs(t) + np.abs(rhs))
-    cond = abs_system.sum(axis=0).max() * np.abs(np.linalg.inv(system)).sum(axis=0).max()
-    err = float(cond) * max(_EPS, float(backward.max())) + 10.0 * _EPS * drift_cond
-    if not err < _MAX_RTOL:
-        raise FluidTailError(
-            f"kernel boundary masses too inaccurate: error estimate {err:.2g} "
-            f"is not below {_MAX_RTOL:g} (c={c})"
-        )
-    return checked_boundary(params, (t * xi).tolist(), "kernel"), err
+            f"kernel boundary masses too inaccurate (c={c}): error estimate {err:.2g} (limit "
+            f"{_MAX_RTOL:g}), smallest mass {min(p):.2g} (limit {_TINY:.2g})")
+    return checked_boundary(params, p, "kernel"), err
 
 
 def analyze(params: ModelParams) -> TailReport:

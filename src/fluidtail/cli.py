@@ -8,6 +8,7 @@ versioned with a top-level ``schema`` field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -19,7 +20,7 @@ from . import asymptotics
 from .simulate import SimConfig, default_window, fit_tail, simulate, summary_json, survival_csv
 from .asymptotics import TailCase
 from .errors import FluidTailError, InvalidInputError
-from .model import ModelParams
+from .model import ModelParams, phase_stationary
 
 SCHEMA = 1
 
@@ -40,15 +41,14 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, check_circular=False) + "\n"
 
 
-def _emit(args, text: str):
-    if not args.out:
-        sys.stdout.write(text)
-        return
+def _sink(path):
+    """stdout, or the --out file, opened before the run so that a bad path refuses at once."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        return open(path, "w")
     except OSError as exc:
-        raise InvalidInputError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        raise InvalidInputError(f"cannot write --out {path!r}: {exc.strerror}") from exc
 
 
 def _prefactor_val(report, value) -> dict:
@@ -94,7 +94,7 @@ def cmd_analyze(args) -> int:
     params = _params(args)
     report = asymptotics.analyze(params)
     payload = _report_payload(report)
-    _emit(args, _report_csv(payload) if args.format == "csv" else _json(payload))
+    args.sink.write(_report_csv(payload) if args.format == "csv" else _json(payload))
     return 0
 
 
@@ -110,9 +110,9 @@ def cmd_solve(args) -> int:
     if args.format == "csv":
         top = -sol.eigenvalues[0].real
         xs = np.linspace(0.0, args.grid_max or 30.0 / top, args.grid_points)
-        _emit(args, spectral.curves_csv(sol, xs))
+        args.sink.write(spectral.curves_csv(sol, xs))
     else:
-        _emit(args, spectral.summary_json(sol) + "\n")
+        args.sink.write(spectral.summary_json(sol) + "\n")
     return 0
 
 
@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed, sample_stride=args.stride,
     )
     est = simulate(cfg)
-    _emit(args, survival_csv(est) if args.format == "csv" else summary_json(est) + "\n")
+    args.sink.write(survival_csv(est) if args.format == "csv" else summary_json(est) + "\n")
     return 0
 
 
@@ -153,9 +153,6 @@ def cmd_validate(args) -> int:
     design = np.vstack([np.ones_like(xs), xs]).T
     spectral_window_rate = -float(np.linalg.lstsq(design, y, rcond=None)[0][1])
     mc_vs_spectral = abs(fit.rate - spectral_window_rate) / spectral_window_rate
-
-    from .model import phase_stationary
-
     residue_ref = (
         phase_stationary(params).prob(params.c - 1) * report.z_tilde ** params.c
     )
@@ -212,7 +209,7 @@ def cmd_validate(args) -> int:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
     }
-    _emit(args, _json(payload))
+    args.sink.write(_json(payload))
     key_width = max(len(k) for k in checks)
     for key, chk in checks.items():
         status = "ok" if chk["pass"] else "FAIL"
@@ -229,20 +226,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(p):
+    def add_params(p, formats=("json", "csv")):
         p.add_argument("--c", type=int, required=True, help="number of servers")
         p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="arrival rate")
         p.add_argument("--mu", type=float, required=True, help="per-server rate")
         p.add_argument("--r", type=float, required=True, help="fill rate")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p_an = sub.add_parser("analyze", help="run the analytic pipeline")
     add_params(p_an)
     p_an.add_argument("--truncation", type=int, default=400,
-                      help="no longer affects analyze, whose boundary masses come "
-                           "from the kernel method; kept for callers that pass it")
+                      help="no longer affects analyze; kept for callers that pass it")
     p_an.set_defaults(fn=cmd_analyze)
 
     p_so = sub.add_parser("solve", help="solve the truncated stationary system")
@@ -264,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_va = sub.add_parser("validate",
                           help="cross-check analytic, spectral and Monte Carlo answers")
-    add_params(p_va)
+    add_params(p_va, formats=("json",))   # its checks have no CSV form
     p_va.add_argument("--truncation", type=int, default=400)
     p_va.add_argument("--horizon", type=float, default=1e5)
     p_va.add_argument("--warmup", type=float, default=100.0)
@@ -285,7 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _sink(args.out) as args.sink:
+            return args.fn(args)
     except FluidTailError as exc:
         error = {"schema": SCHEMA, "error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(_json(error))

@@ -1,4 +1,4 @@
-"""The low phases' continued-fraction chain and the real zeros of the folded coefficient.
+"""The low phases' continued-fraction chain and the decay-rate zero of the folded coefficient.
 
 Phases 0..c-2 of the transformed balance system are eliminated through a
 chain of rational functions A_i = (i+1)*mu / den_i, i = 0..c-2, with pivots
@@ -16,22 +16,19 @@ ratio reported; both are computed without them.  folded_coeff is the one
 evaluator of the coefficient, g = f / z^(c-1) with f the written form.
 
 Only chain_pivots computes pivots, as den_i = lam + alpha e_i with e_0 = c
-and e_i = (c-i) + i mu e_{i-1} / den_{i-1}: valid on the whole real axis
-and under complex steps, and without cancellation on alpha >= 0, where
-every e_i is positive.  The links, the last link in g and in d, the null
-vector (null_vector) and the Sturm count are all read from them.
+and e_i = (c-i) + i mu e_{i-1} / den_{i-1}: valid under complex steps, and
+without cancellation on alpha >= 0, where every e_i is positive.  The
+links, the last link in g and in d, and the null vector (null_vector) are
+all read from them.
 
 On the small root z = branch_small_real(alpha), which is positive, g has
 the sign of f.  The candidate decay rate is the unique zero of g(alpha, z)
 inside (0, alpha1].  There g = alpha d(alpha) with d a deflated
 coefficient that has neither a pole nor a cancellation at 0; d(0) < 0, so
 the sign of d at alpha1 tells whether the zero is inside, at alpha1 or
-absent, and Brent's method finds an inside zero.
-
-On the negative axis g has c-1 more zeros, the negated growing eigenvalues
-of the stationary system, where the boundary masses are pinned down
-(asymptotics.kernel_boundary).  A Sturm count of the pivots isolates each
-of them, and Brent's method finds it.
+absent, and Brent's method finds an inside zero.  The c-1 zeros of g on
+the negative axis, where the boundary masses are pinned, are not searched
+for (asymptotics.kernel_boundary).
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from .model import ModelParams, require_stable
 # |d| below this (times its term scale) counts as a zero
 _ZERO_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-_MAX_BISECTIONS = 200   # enough to shrink any double interval to a few ulps
 
 
 @dataclass(frozen=True)
@@ -82,23 +78,17 @@ def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
 def chain_pivots(params: ModelParams, alpha) -> tuple:
     """(den_0..den_{c-2}, e_{c-2}): the chain's pivots and its last weight at alpha.
 
-    A complex alpha, or an array of them, is carried through.  For a real
-    alpha two rules hold.  At alpha = 0 every pivot is lam, also where the
-    weights, products of about i mu / lam there, pass the double range.  A
-    pivot that is exactly 0 is taken as -eps lam, within its rounding: it
-    counts as negative and keeps the next weight finite.
+    A complex alpha, or an array of them, is carried through.  At a real
+    alpha = 0 every pivot is lam, also where the weights, products of about
+    i mu / lam there, pass the double range.
     """
     c, lam, mu = params.c, params.lam, params.mu
-    real = isinstance(alpha, float)
-    at_zero = real and alpha == 0.0
-    dens, e, den = [], float(c), 1.0
+    at_zero = isinstance(alpha, float) and alpha == 0.0
+    dens, e = [], float(c)
     for i in range(c - 1):
         if i:
-            e = (c - i) + i * mu * e / den
-        den = lam if at_zero else lam + alpha * e
-        if real and den == 0.0:
-            den = -_EPS * lam
-        dens.append(den)
+            e = (c - i) + i * mu * e / dens[-1]
+        dens.append(lam if at_zero else lam + alpha * e)
     return dens, e
 
 
@@ -194,76 +184,6 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = f(b)
     return b
-
-
-def _folded_count(params: ModelParams, alpha: float) -> tuple:
-    """(Sturm count, pole-free value) of the folded coefficient at alpha < 0.
-
-    With D_i the denominator polynomial of the chain's A_i (D_{-1} = 1),
-    the pivots of chain_pivots are den_i = D_i / D_{i-1}, and folded_coeff's
-    g closes them at phase c-1.  The count is the number of negative den_i
-    plus one if g > 0.  Across a chain pole one pivot and the next change
-    sign together, so the count only changes where g has a zero: it is c
-    at alpha = -2 (lam + c mu) and falls by one at each growing zero, to 1
-    just below alpha = 0.  As in a Sturm sequence, the computed pivots are
-    the exact ones of slightly perturbed rates, so the count stays right
-    however close a zero lies to a pole.
-
-    The value is D_{c-2} g, which has no pole, divided by a positive factor
-    that keeps it finite for large c.  It is continuous in alpha, vanishes
-    exactly at the zeros, and its sign is (-1)^(count-1).
-    """
-    c = params.c
-    scale = abs(alpha) + params.lam + c * params.mu
-    dens = chain_pivots(params, alpha)[0]
-    count, value = 0, 1.0
-    for i, den in enumerate(dens):
-        count += den < 0.0
-        value *= den / ((c - i) * scale)
-    g = folded_coeff(params, alpha, branch_small_real(params, alpha), dens)
-    return count + (g > 0.0), value * g
-
-
-def growing_zeros(params: ModelParams) -> np.ndarray:
-    """The c-1 zeros of g on the negative axis, ascending (empty for c = 1).
-
-    They are the negated growing eigenvalues of the infinite stationary
-    system, and all lie above -B with B = 2 (lam + c mu), the Gershgorin
-    bound on those eigenvalues.  Bisection on the Sturm count of
-    _folded_count isolates each zero in an interval where the count falls by
-    exactly one; there the pole-free value changes sign, and Brent's method
-    finds the zero on it.  On lightly loaded tuples a zero can lie closer to
-    a chain pole than rounding resolves, which the count does not mind.
-    Raises FluidTailError when the count at -B is not c.
-    """
-    c = params.c
-    lo = -2.0 * (params.lam + c * params.mu)
-    n_lo, h_lo = _folded_count(params, lo)
-    if n_lo != c:
-        raise FluidTailError(
-            f"Sturm count {n_lo} at alpha={lo}; expected c = {c}, one more than "
-            f"the number of growing zeros"
-        )
-    zeros = np.empty(c - 1)
-    h = lambda a: _folded_count(params, a)[1]
-    for k in range(c - 1):
-        target = c - 1 - k   # the count just right of zero k
-        # just below 0 the count is 1 (<= target); 0 itself is a zero of g
-        hi, n_hi, h_hi = 0.0, 1, 0.0
-        for _ in range(_MAX_BISECTIONS):
-            if n_lo == target + 1 and n_hi == target and h_hi != 0.0:
-                break
-            mid = 0.5 * (lo + hi)
-            n_mid, h_mid = _folded_count(params, mid)
-            if n_mid > target:
-                lo, n_lo, h_lo = mid, n_mid, h_mid
-            else:
-                hi, n_hi, h_hi = mid, n_mid, h_mid
-        else:
-            raise FluidTailError(f"growing zero {k} of c-1 = {c - 1} not isolated")
-        zeros[k] = _brent(h, lo, hi, h_lo, h_hi)
-        lo, n_lo, h_lo = hi, n_hi, h_hi
-    return zeros
 
 
 def find_coeff_zero(params: ModelParams) -> CoeffZero:

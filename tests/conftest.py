@@ -26,6 +26,23 @@ def random_stable_params(rng, c_choices=(1, 2, 3, 4, 5), max_tries=1000):
     raise RuntimeError("could not draw a stable tuple")
 
 
+def ladder_generator(p):
+    """The ladder generator Lam = D^-1 Q_cut + lam e_{c-1} g^T, g from asymptotics._ladder_row."""
+    from fluidtail.asymptotics import _ladder_row
+
+    c, i = p.c, np.arange(p.c)
+    q = np.diag(-(p.lam + i * p.mu))
+    q[i[:-1], i[:-1] + 1] = p.lam
+    q[i[1:], i[1:] - 1] = i[1:] * p.mu
+    gen = q / (c - i)[:, None]
+    if c > 1:
+        row, basis, _ = _ladder_row(p)
+        gen[-1] += p.lam * row * basis
+    else:
+        gen[-1, -1] += p.lam   # G = 1
+    return gen
+
+
 def random_stable_c1(rng):
     """Stable c=1 tuple (stability forces mu > lam*(r+1))."""
     lam = 10.0 ** rng.uniform(-1, 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_params
+from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, ladder_generator, random_stable_params
 from fluidtail import asymptotics
 from fluidtail.asymptotics import (
     TailCase,
@@ -22,10 +22,10 @@ from fluidtail.asymptotics import (
     transform_continuation,
 )
 from _forcing_oracle import alpha_of_z, kernel, numerator_terms
-from fluidtail.errors import AssumptionViolatedError, FluidTailError
+from fluidtail.errors import AssumptionViolatedError
 from fluidtail.kernel import branch_points, branch_small_real
 from fluidtail.model import BoundaryVector, ModelParams, phase_stationary
-from fluidtail.roots import find_coeff_zero, growing_zeros
+from fluidtail.roots import find_coeff_zero
 
 
 @pytest.fixture(scope="module")
@@ -442,10 +442,85 @@ def test_kernel_masses_match_oracle(rng):
     assert compared >= len(KERNEL_MASS_TUPLES)
 
 
-def test_kernel_boundary_refuses_inaccurate_masses():
-    # the recurrence for the null vectors loses all digits at c = 80, low load
-    with pytest.raises(FluidTailError, match="too inaccurate"):
-        kernel_boundary(ModelParams(c=80, lam=4.0, mu=1.0, r=2.0))
+# the kernel formulation's masses at 160 digits, rounded to doubles: the c-1 growing zeros by
+# Sturm bisection, then the c x c system, from tests/kernel_mass_reference.py (about four
+# minutes; at 200 digits no mass moves by more than 1e-145)
+KERNEL_MASS_REFERENCE = {
+    (80, 4.0, 1.0, 2.0): [
+        0.01831563888873418, 0.07326255555493671, 0.14652511110987343,
+        0.1953668148131646, 0.1953668148131646, 0.15629345185053167,
+        0.10419563456702112, 0.05954036260972635, 0.029770181304863176,
+        0.0132311916910503, 0.00529247667642012, 0.00192453697324368,
+        0.00064151232441456, 0.0001973884075121723, 5.639668786062066e-05,
+        1.5039116762832175e-05, 3.759779190708044e-06, 8.846539272254222e-07,
+        1.9658976160564936e-07, 4.138731823276829e-08, 8.277463646553658e-09,
+        1.5766597422006965e-09, 2.8666540767285393e-10, 4.985485350832242e-11,
+        8.309142251387071e-12, 1.3294627602219313e-12, 2.0453273234183557e-13,
+        3.030114553212379e-14, 4.3287350760176845e-15, 5.97066907036922e-16,
+        7.960892093825626e-17, 1.0272118830742743e-17, 1.2840148538428429e-18,
+        1.5563816410216277e-19, 1.8310372247313267e-20, 2.0926139711215163e-21,
+        2.3251266345794627e-22, 2.5136504157615812e-23, 2.6459478060648223e-24,
+        2.713792621604946e-25, 2.713792621604946e-26, 2.647602557663362e-27,
+        2.5215262453936782e-28, 2.3456058096685376e-29, 2.1323689178804887e-30,
+        1.8954390381159902e-31, 1.6482078592312958e-32, 1.4027300929628049e-33,
+        1.1689417441356707e-34, 9.542381584780985e-36, 7.633905267824789e-37,
+        5.987376680646893e-38, 4.605674369728379e-39, 3.4759806563987767e-40,
+        2.574800486221316e-41, 1.8725821717973208e-42, 1.3375586941409435e-43,
+        9.386376800989076e-45, 6.473363311026949e-46, 4.38872088883183e-47,
+        2.925813925887887e-48, 1.918566508778942e-49, 1.237784844373511e-50,
+        7.858951392847689e-52, 4.911844620529805e-53, 3.022673612633727e-54,
+        1.831923401596198e-55, 1.0936856128932526e-56, 6.433444781725014e-58,
+        3.72953320679711e-59, 2.1311618324554915e-60, 1.2006545534960513e-61,
+        6.670303074977975e-63, 3.654960589025121e-64, 1.975654372288474e-65,
+        1.0536823261517334e-66, 5.545694594833761e-68, 2.880827763105002e-69,
+        1.4760883284864716e-70, 7.228840204551908e-72,
+    ],
+    (100, 50.0, 1.0, 0.5): [
+        1.9287498479522346e-22, 9.643749239761173e-21, 2.410937309940293e-19,
+        4.018228849900489e-18, 5.022786062375611e-17, 5.022786062375611e-16,
+        4.185655051979676e-15, 2.989753608556911e-14, 1.8685960053480697e-13,
+        1.0381088918600386e-12, 5.190544459300193e-12, 2.359338390590997e-11,
+        9.830576627462487e-11, 3.780991010562495e-10, 1.3503539323437484e-09,
+        4.501179774479161e-09, 1.4066186795247378e-08, 4.1371137633080526e-08,
+        1.1491982675855701e-07, 3.024205967330448e-07, 7.56051491832612e-07,
+        1.800122599601457e-06, 4.091187726366948e-06, 8.893886361667278e-06,
+        1.8528929920140162e-05, 3.7057859840280324e-05, 7.126511507746216e-05,
+        0.00013197243532863363, 0.00023566506308684575, 0.0004063190742876651,
+        0.0006771984571461085, 0.0010922555760421106, 0.0017066493375657976,
+        0.002585832329645148, 0.003802694602419335, 0.005432420860599051,
+        0.007545028973054237, 0.010195985098721942, 0.013415769866739397,
+        0.0171997049573582, 0.02149963119669775, 0.02621906243499726,
+        0.031213169565472924, 0.03629438321566619, 0.04124361729052976,
+        0.04582624143392196, 0.04981113199339343, 0.052990565950418546,
+        0.055198506198352655, 0.056325006324849644, 0.056325006324849644,
+        0.055220594436127104, 0.05309672541935299, 0.05009125039561602,
+        0.04638078740334817, 0.042164352184861975, 0.03764674302219819,
+        0.03302345879140192, 0.028468498958105104, 0.024125846574665342,
+        0.020104872145554453, 0.016479403397995453, 0.013289841449996332,
+        0.010547493214282803, 0.00824022907365844, 0.006338637748968031,
+        0.004801998294672751, 0.0035835808169199634, 0.0026349858947940907,
+        0.00190941006869137, 0.00136386433477955, 0.0009604678413940493,
+        0.0006669915565236453, 0.0004568435318655105, 0.00030867806207129087,
+        0.00020578537471419391, 0.00013538511494354865, 8.791241230100561e-05,
+        5.635411044936257e-05, 3.566715851225479e-05, 2.2291974070159243e-05,
+        1.3760477821085952e-05, 8.390535256759723e-06, 5.05453931130101e-06,
+        3.008654351964736e-06, 1.769796677625522e-06, 1.0289515567550503e-06,
+        5.913514693804771e-07, 3.359951529708142e-07, 1.887613215206633e-07,
+        1.0486739931208487e-07, 5.7619444193050214e-08, 3.1314893200031015e-08,
+        1.683588645351549e-08, 8.95500030452138e-09, 4.712340492233287e-09,
+        2.4518764238878103e-09, 1.2566878227091767e-09, 6.208996948332678e-10,
+        2.581319940849741e-10,
+    ],
+}
+
+
+def test_kernel_masses_match_the_160_digit_reference():
+    # light load at c = 80, where the masses span 70 decades, and half load at c = 100
+    for (c, lam, mu, r), want in KERNEL_MASS_REFERENCE.items():
+        boundary, err = kernel_boundary(ModelParams(c=c, lam=lam, mu=mu, r=r))
+        assert err < 1e-10
+        want = np.array(want)
+        np.testing.assert_array_less(np.abs(np.array(boundary.masses) - want), err * want)
 
 
 def test_kernel_mass_estimate_covers_the_drift_rounding():
@@ -474,13 +549,28 @@ def test_kernel_masses_c1_closed_form(rng):
 
 
 def test_numerator_vanishes_at_growing_zeros(rng):
-    # the R-orthogonality rows of kernel_boundary against the written forcing forms
+    # the kernel masses against the written forcing forms at the growing zeros, which are the
+    # ladder generator's nonzero eigenvalues
     tuples = [CASE_III, CASE_I_C2, ModelParams(c=8, lam=6.0, mu=1.0, r=1.0)]
     tuples += [random_stable_params(rng, c_choices=range(2, 6)) for _ in range(10)]
     for p in tuples:
         boundary, _ = kernel_boundary(p)
-        for a in growing_zeros(p):
+        for a in np.sort(np.linalg.eigvals(ladder_generator(p)).real)[:-1]:
             z = branch_small_real(p, a)
             terms = numerator_terms(p, boundary, a, z)
             scale = max(abs(complex(t)) for t in terms)
             assert abs(complex(sum(terms))) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("c", [100, 200])
+@pytest.mark.parametrize("load", [0.1, 0.5, 0.9])
+def test_analyze_answers_at_many_servers(c, load):
+    # every number finite, and the masses on the zero mode's row within rounding
+    p = ModelParams(c=c, lam=load * c, mu=1.0, r=0.5)
+    rep = analyze(p)
+    values = [rep.alpha_star, rep.alpha_star_err, rep.c_const, rep.c_const_err, rep.prefactor,
+              rep.marginal_prefactor, rep.d_ztilde, rep.boundary_err, *rep.boundary.masses]
+    assert all(math.isfinite(v) for v in values)
+    assert rep.boundary_err < 1e-10
+    drain = math.fsum((c - i) * m for i, m in enumerate(rep.boundary.masses))
+    assert drain == pytest.approx(-phase_stationary(p).mean_drift(), rel=1e-13)

@@ -198,6 +198,29 @@ def test_out_path_that_cannot_be_opened_gets_a_structured_error(capsys, tmp_path
     assert str(path) in error["message"]
 
 
+def test_out_path_is_checked_before_the_run(capsys, tmp_path, monkeypatch):
+    def simulate(*args, **kwargs):
+        pytest.fail("simulate ran although --out cannot be written")
+
+    monkeypatch.setattr("fluidtail.cli.simulate", simulate)
+    path = tmp_path / "missing" / "run.json"
+    code, out, _ = run_cli(capsys, "simulate", *REFERENCE_ARGS["I"], "--out", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InvalidInputError"
+    assert str(path) in error["message"]
+
+
+def test_validate_refuses_a_csv_request(capsys):
+    # validate writes JSON only; a CSV request stops at the parser, before any work
+    with pytest.raises(SystemExit) as stop:
+        main(["validate", *REFERENCE_ARGS["I"], "--format", "csv"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
 def test_simulate_json(capsys):
     # at this budget the fitted rate's sd over seeds is about 5% of 0.5, well inside the
     # 15% bound; at a tenth of it the fit's own 95% CI is about 33% wide

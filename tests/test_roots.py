@@ -5,13 +5,14 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from _forcing_oracle import rationalized_zero_poly
-from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, random_stable_c1, random_stable_params
+from conftest import (CASE_I, CASE_I_C2, CASE_II, CASE_III, ladder_generator, random_stable_c1,
+                      random_stable_params)
 from fluidtail import roots
 from fluidtail.asymptotics import TailCase, analyze, numerator_value
 from fluidtail.errors import AssumptionViolatedError, FluidTailError
 from fluidtail.kernel import branch_points, branch_small_real
 from fluidtail.model import ModelParams
-from fluidtail.roots import find_coeff_zero, folded_coeff, growing_zeros
+from fluidtail.roots import find_coeff_zero, folded_coeff
 
 
 def _large_root(p, alpha):
@@ -346,42 +347,18 @@ def _pencil_growing_eigenvalues(p, n_phases=400):
                             select="v", select_range=(0.0, math.inf))
 
 
-def test_growing_zeros_are_pencil_eigenvalues(rng):
+def test_ladder_generator_eigenvalues_are_pencil_eigenvalues(rng):
+    # the zeros of g on the negative axis, where the kernel masses are pinned, are the
+    # ladder generator's nonzero eigenvalues: an independent check of that axis
     tuples = NEGATIVE_AXIS_TUPLES + [random_stable_params(rng, c_choices=range(1, 9))
                                      for _ in range(30)]
     for p in tuples:
-        zeros = growing_zeros(p)
-        assert zeros.shape == (p.c - 1,)
-        assert roots._folded_count(p, -2.0 * (p.lam + p.c * p.mu))[0] == p.c
-        for k, a in enumerate(zeros):
-            # the count falls by exactly one across each zero, and the
-            # pole-free value changes sign there
-            n_left, h_left = roots._folded_count(p, a * (1.0 + 1e-9))
-            n_right, h_right = roots._folded_count(p, a * (1.0 - 1e-9))
-            assert (n_left, n_right) == (p.c - k, p.c - k - 1), (p, k)
-            assert h_left * h_right < 0.0
+        eig = np.linalg.eigvals(ladder_generator(p))
+        assert np.abs(eig.imag).max() <= 1e-10 * np.abs(eig).max(), p
+        eig = np.sort(eig.real)
+        assert abs(eig[-1]) < 1e-12 * (p.lam + p.c * p.mu), p   # the zero mode
         s_up = np.sort(_pencil_growing_eigenvalues(p))[::-1]
-        np.testing.assert_allclose(-zeros, s_up, rtol=1e-10)
-
-
-def test_folded_count_at_an_exact_zero_pivot():
-    # den_0 = lam + alpha c is exactly 0 at alpha = -lam / c; the pivot counts as
-    # negative and the pole-free value stays continuous through it
-    for c, lam, mu in [(3, 3.0, 1.5), (4, 4.0, 1.0), (6, 6.0, 2.0)]:
-        p = ModelParams(c=c, lam=lam, mu=mu, r=1.0)
-        assert roots.chain_pivots(p, -1.0 - 1e-12)[0][0] < 0.0
-        n_left, h_left = roots._folded_count(p, -1.0 - 1e-12)
-        n_mid, h_mid = roots._folded_count(p, -1.0)
-        n_right, h_right = roots._folded_count(p, -1.0 + 1e-12)
-        assert n_left == n_mid == n_right
-        assert h_mid == pytest.approx(h_left, rel=1e-9)
-        assert h_mid == pytest.approx(h_right, rel=1e-9)
-
-
-def test_growing_zeros_refuse_a_wrong_count(monkeypatch):
-    monkeypatch.setattr(roots, "_folded_count", lambda p, a: (p.c - 1, 1.0))
-    with pytest.raises(FluidTailError, match="expected c = 3"):
-        growing_zeros(CASE_III)
+        np.testing.assert_allclose(eig[:-1], -s_up, rtol=1e-10)
 
 
 def test_coeff_scale_matches_scalar_loop(rng):
