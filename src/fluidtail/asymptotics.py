@@ -487,12 +487,13 @@ def kernel_boundary(params: ModelParams) -> tuple:
     2 sum_k a_k, as a change in the row moves each t_k by at most its
     1-norm times that sum (v weighs row_j by s_j / s_k <= 1); 11 c eps for
     the roundings of positive terms behind a mass, the entrywise bound of
-    subtraction-free elimination (O'Cinneide, Numer. Math. 65, 1993); up to
-    4 eps (1 + c |log(lam/mu)| + log c!) per xi_i from the phase law, in a
-    mass, in the scaling and times the drift's condition (its terms' sizes
-    over its size); and 10 eps times that condition for the drift's own
-    rounding.  An estimate of _MAX_RTOL or more raises FluidTailError, and
-    so does a mass below the normal range, which has no relative accuracy.
+    subtraction-free elimination (O'Cinneide, Numer. Math. 65, 1993); the
+    phase law's bound eps (5 + 3c + 2q/(1-q)) per xi_i (PhaseDistribution,
+    q = lam / (c mu)), in a mass, in the scaling and times the drift's
+    condition (its terms' sizes over its size); and 10 eps times that
+    condition for the drift's own rounding.  An estimate of _MAX_RTOL or
+    more raises FluidTailError, and so does a mass below the normal range,
+    which has no relative accuracy.
     """
     c, lam, mu = params.c, params.lam, params.mu
     law = phase_stationary(params)
@@ -514,9 +515,8 @@ def kernel_boundary(params: ModelParams) -> tuple:
     p = [ti * law.prob(i) for i, ti in enumerate(t)]
     scale = -drift / math.fsum((c - i) * pi for i, pi in enumerate(p))
     p = [pi * scale for pi in p]
-    phase_law = 4.0 * _EPS * (1.0 + c * abs(math.log(lam / mu)) + math.lgamma(c + 1))
     err = (2.0 * a_sum * max(residual, _EPS) + 11 * c * _EPS
-           + phase_law * (2.0 + drift_cond) + 10.0 * _EPS * drift_cond)
+           + law.rel_err * (2.0 + drift_cond) + 10.0 * _EPS * drift_cond)
     if not (err < _MAX_RTOL and min(p) >= _TINY):
         raise FluidTailError(
             f"kernel boundary masses too inaccurate (c={c}): error estimate {err:.2g} (limit "

@@ -37,8 +37,9 @@ def _params(args) -> ModelParams:
 
 
 def _json(payload: dict) -> str:
-    # the payloads are trees built here, so no cycle check is needed
-    return json.dumps(payload, indent=2, check_circular=False) + "\n"
+    # one line: json.dumps with no options reuses the module's cached C encoder;
+    # any option builds a new encoder per call, and indent a pure-Python one
+    return json.dumps(payload) + "\n"
 
 
 def _sink(path):
@@ -219,7 +220,8 @@ def cmd_validate(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """(top-level parser, its subcommand parsers by name)."""
     parser = argparse.ArgumentParser(
         prog="fluidtail",
         description="Tail asymptotics of a fluid queue driven by an M/M/c background chain",
@@ -275,11 +277,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_va.add_argument("--tol-prefactor", type=float, default=0.02,
                       help="analytic vs spectral density prefactor (pole case)")
     p_va.set_defaults(fn=cmd_validate)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of argv, parsed by the named subcommand's parser alone.
+
+    The top-level parser scans every argument before it hands them to the
+    subcommand's parser; a known name skips that scan.  A missing or
+    unknown name, -h, or leftover arguments go to the top-level parser, so
+    argparse prints its own usage, help and errors.
+    """
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         with _sink(args.out) as args.sink:
             return args.fn(args)

@@ -53,13 +53,23 @@ class ModelParams:
 class PhaseDistribution:
     """Stationary distribution of the M/M/c queue-length chain.
 
-    Probabilities are evaluated from the closed form, in log space so that
-    large ``c`` does not overflow the factorials.  Beyond phase ``c`` the
-    distribution is exactly geometric with ratio ``lam / (c*mu)``.  The log
-    terms ``i log(rho) - log(i!)`` of phases 0..c are taken once, on Python
-    floats (``math.lgamma``), and normalized by a log-sum-exp over
-    ``math.fsum``.  ``prob`` reads them; ``probs``, which fills the oracle's
-    N-long arrays, exponentiates them with numpy.
+    Phases 0..c follow xi_i = xi_0 rho^i / i!, rho = lam / mu, and beyond
+    phase ``c`` the distribution is exactly geometric with ratio
+    q = lam / (c*mu).  The head is built outward from the modal phase
+    m = min(floor(rho), c) as products of ratios at most 1,
+    w_i = w_{i+1} (i+1) / rho below m and w_i = w_{i-1} rho / i above it
+    (w_m = 1), so nothing overflows and a term leaves the normal range only
+    when its probability does.  The terms are normalized by ``math.fsum``
+    of the head plus the geometric tail w_c q / (1 - q): q < 1 holds in
+    doubles whenever lam < c*mu does, while lam / mu may round to c.
+
+    ``rel_err`` bounds the relative error of ``prob(i)``, i <= c, and of
+    ``tail_mass(c)``, to first order in u = eps/2.  Each step outward from
+    m rounds twice and carries rho's rounding, so w_i is within 3|i-m| u;
+    the tail term adds 5 u, and 2q/(1-q) u as 1 - q amplifies q's two
+    roundings; the sum and the division round once each.  So xi_i is within
+    (6c + 7 + 2q/(1-q)) u, and tail_mass(c), which divides by the same
+    1 - q, within (2 + 2q/(1-q)) u more: rel_err = eps (5 + 3c + 2q/(1-q)).
     """
 
     def __init__(self, params: ModelParams):
@@ -68,15 +78,17 @@ class PhaseDistribution:
                 f"background chain not ergodic: lam={params.lam} >= c*mu={params.c * params.mu}"
             )
         self.params = params
-        self.rho = params.lam / params.mu
-        self.tail_ratio = params.lam / (params.c * params.mu)
-        c, log_rho = params.c, math.log(self.rho)
-        self._log_head = [i * log_rho - math.lgamma(i + 1) for i in range(c + 1)]
-        log_terms = self._log_head[:c]
-        # the phases >= c sum to the last of the normalization's terms
-        log_terms.append(c * log_rho - math.lgamma(c) - math.log(c - self.rho))
-        top = max(log_terms)
-        self._log_xi0 = -top - math.log(math.fsum(math.exp(t - top) for t in log_terms))
+        c, rho = params.c, params.lam / params.mu
+        self.tail_ratio = q = params.lam / (c * params.mu)
+        m = min(int(rho), c)
+        w = [1.0] * (c + 1)
+        for i in range(m - 1, -1, -1):
+            w[i] = w[i + 1] * (i + 1) / rho
+        for i in range(m + 1, c + 1):
+            w[i] = w[i - 1] * rho / i
+        total = math.fsum(w + [w[c] * q / (1.0 - q)])
+        self._head = [wi / total for wi in w]
+        self.rel_err = _EPS * (5.0 + 3.0 * c + 2.0 * q / (1.0 - q))
 
     def prob(self, i: int) -> float:
         """Stationary probability of phase i."""
@@ -84,18 +96,16 @@ class PhaseDistribution:
         if i < 0:
             return 0.0
         if i <= c:
-            return math.exp(self._log_xi0 + self._log_head[i])
-        return self.prob(c) * self.tail_ratio ** (i - c)
+            return self._head[i]
+        return self._head[c] * self.tail_ratio ** (i - c)
 
     def probs(self, n: int) -> np.ndarray:
         """Vector of stationary probabilities for phases 0..n-1."""
         c = self.params.c
-        m = min(n, c + 1)
         out = np.empty(n)
-        out[:m] = np.exp(self._log_xi0 + np.array(self._log_head[:m]))
+        out[:c + 1] = self._head[:n]
         if n > c + 1:
-            j = np.arange(c + 1, n)
-            out[c + 1:] = self.prob(c) * self.tail_ratio ** (j - c)
+            out[c + 1:] = self._head[c] * self.tail_ratio ** np.arange(1, n - c)
         return out
 
     def tail_mass(self, i0: int) -> float:
@@ -222,6 +232,7 @@ def checked_boundary(params: ModelParams, masses, source: str) -> BoundaryVector
     return BoundaryVector(masses=p, source=source)
 
 
+_EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)
 
 

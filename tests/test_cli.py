@@ -342,3 +342,64 @@ def test_bad_input_gets_a_structured_error(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvalidInputError"
+
+
+TOP_USAGE = "usage: fluidtail [-h] {analyze,solve,simulate,validate} ...\n"
+ANALYZE_USAGE = "usage: fluidtail analyze [-h] --c C --lambda LAM --mu MU --r R [--out OUT]\n"
+
+
+@pytest.mark.parametrize("argv, code, stream, usage, message", [
+    ([], 2, "err", TOP_USAGE,
+     "fluidtail: error: the following arguments are required: command\n"),
+    (["-h"], 0, "out", TOP_USAGE, None),
+    (["bogus"], 2, "err", TOP_USAGE,
+     "fluidtail: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'analyze', 'solve', 'simulate', 'validate')\n"),
+    (["analyze", "-h"], 0, "out", ANALYZE_USAGE, None),
+    (["analyze", *REFERENCE_ARGS["I"], "--foo"], 2, "err", TOP_USAGE,
+     "fluidtail: error: unrecognized arguments: --foo\n"),
+    (["analyze", "--c", "1"], 2, "err", ANALYZE_USAGE,
+     "fluidtail analyze: error: the following arguments are required: "
+     "--lambda, --mu, --r\n"),
+], ids=["no_command", "help", "unknown_command", "analyze_help", "unknown_option",
+        "missing_options"])
+def test_parser_usage_and_exit_codes(capsys, argv, code, stream, usage, message):
+    # a known subcommand is parsed by its own parser alone; what the user sees is
+    # what the top-level parser would print, with its usage for leftover arguments
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == code
+    captured = capsys.readouterr()
+    text = captured.out if stream == "out" else captured.err
+    assert text.startswith(usage)
+    if message is not None:
+        assert text.endswith(message)
+    assert (captured.err if stream == "out" else captured.out) == ""
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["fluidtail", "analyze", *REFERENCE_ARGS["III"]])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["case"]["value"] == "III"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", *REFERENCE_ARGS["III"]], 0),
+    (["validate", *REFERENCE_ARGS["III"], "--truncation", "200", "--horizon", "50000",
+      "--samples", "300000", "--seed", "1"], 0),
+    (["analyze", "--c", "1", "--lambda", "1", "--mu", "1", "--r", "1"], 2),
+], ids=["analyze", "validate", "error"])
+def test_json_is_one_line(capsys, argv, code):
+    got, out, _ = run_cli(capsys, *argv)
+    assert got == code
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.dumps(json.loads(out)) + "\n" == out
+
+
+def test_analyze_out_file_matches_stdout(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    _, out, _ = run_cli(capsys, "analyze", *REFERENCE_ARGS["III"])
+    code, to_stdout, _ = run_cli(capsys, "analyze", *REFERENCE_ARGS["III"], "--out", str(path))
+    assert code == 0 and to_stdout == ""
+    assert path.read_text() == out

@@ -80,11 +80,15 @@ def test_phase_law_matches_mpmath(c, load):
     mpmath = pytest.importorskip("mpmath")
     p = ModelParams(c=c, lam=load * c, mu=1.0, r=1.0)
     xi = phase_stationary(p)
-    # the normalization sums every log-space term i log(rho) - log(i!), so
-    # each probability carries the rounding of the largest of them
+    # the head is built from the modal phase by at most c ratios, each carrying
+    # up to three roundings, and the geometric tail's 1 - q amplifies the rounding
+    # of q; a phase c + k beyond adds that of q^k.  No point gets a wider
+    # tolerance than the log-space law's 4 eps (1 + max_i(i |log rho| + log i!)).
+    eps, q = np.finfo(float).eps, p.lam / (c * p.mu)
+    bound = eps * (5.0 + 3.0 * c + 2.0 * q / (1.0 - q))
     log_rho = math.log(p.lam / p.mu)
-    scale = max(abs(i * log_rho) + math.lgamma(i + 1) for i in range(c + 3))
-    tol = 4.0 * np.finfo(float).eps * (1.0 + scale)
+    log_space = 4.0 * eps * (1.0 + max(abs(i * log_rho) + math.lgamma(i + 1)
+                                       for i in range(c + 3)))
     with mpmath.workdps(50):
         rho = mpmath.mpf(p.lam) / mpmath.mpf(p.mu)
         head = [rho ** i / mpmath.factorial(i) for i in range(c + 1)]
@@ -95,12 +99,29 @@ def test_phase_law_matches_mpmath(c, load):
             if want < np.finfo(float).tiny:   # below the normal range; light load, c = 500
                 assert got < np.finfo(float).tiny
             else:
+                tol = bound + (i - c + 2) * eps if i > c else bound
+                tol = min(tol, log_space)
                 assert abs(got - want) <= tol * want, (i, got, float(want))
+        tail = xi0 * head[c] / (1 - rho / c)
+        if tail >= np.finfo(float).tiny:
+            assert abs(xi.tail_mass(c) - tail) <= min(log_space, bound) * tail
     head_mass = math.fsum(xi.prob(i) for i in range(c))
     assert head_mass + xi.tail_mass(c) == pytest.approx(1.0, abs=1e-12)
-    # numpy's exp and math.exp may round apart by an ulp
+    # beyond phase c, numpy's power and Python's may round apart by an ulp
     np.testing.assert_allclose(xi.probs(c + 3), [xi.prob(i) for i in range(c + 3)],
                                rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_phase_law_where_lam_over_mu_rounds_to_c():
+    # lam < c mu in doubles, but lam / mu rounds to c: the tail is summed with
+    # q = lam / (c mu) < 1, not with c - rho = 0, and the tuple is refused as unstable
+    p = ModelParams(c=9, lam=46.72436447155311, mu=5.19159605239479, r=1.0)
+    assert p.lam < p.c * p.mu and p.lam / p.mu == p.c
+    xi = phase_stationary(p)
+    head = xi.probs(p.c)
+    assert np.all(np.isfinite(head))
+    assert math.fsum(head) + xi.tail_mass(p.c) == pytest.approx(1.0, abs=1e-12)
+    assert not is_stable(p).stable
 
 
 @pytest.mark.parametrize("masses", [(), np.empty(0), np.ones((2, 2)), [[0.1, 0.2]],
