@@ -1,8 +1,8 @@
 """Tail asymptotics of a fluid queue driven by an M/M/c background chain.
 
-Analytic pipeline (kernel root, continued-fraction fold, zero hunting,
-tail constants) plus two independent desk-scale oracles: a truncated-phase
-spectral solver and an event-driven Monte Carlo simulator.
+Analytic pipeline (kernel root, chain pivots, boundary masses from the
+ladder generator, tail constants) plus two independent desk-scale oracles:
+a truncated-phase spectral solver and an event-driven Monte Carlo simulator.
 """
 
 from .asymptotics import (
@@ -36,7 +36,7 @@ from .simulate import SimConfig, SurvivalEstimate, fit_tail, simulate
 __version__ = "0.1.0"
 
 # the spectral oracle loads scipy.linalg; it is imported on first use only
-_SPECTRAL = ("SpectralSolution", "fit_decay", "solve_truncated")
+_SPECTRAL = ("SpectralSolution", "solve_truncated")
 
 
 def __getattr__(name):
@@ -68,7 +68,6 @@ __all__ = [
     "branch_points",
     "classify",
     "find_coeff_zero",
-    "fit_decay",
     "fit_tail",
     "is_stable",
     "joint_tail",

@@ -312,7 +312,8 @@ def _phase_extraction_coeffs(params: ModelParams, report: TailReport, n_phases: 
     pure geometric sequence in 1/z_large; at the branch point the double
     root contributes a linear-in-j factor in the BRANCH_ONLY case, through
     the slope dg/dz, whose complex step is exact on a line.  The two roots
-    are the report's z_star and z_large.
+    are the report's z_star and z_large; outside the POLE case alpha* is
+    alpha1, where they are the double root and agree to rounding.
     """
     lam = params.lam
     alpha_star, z0, z1 = report.alpha_star, report.z_star, report.z_large
@@ -322,14 +323,10 @@ def _phase_extraction_coeffs(params: ModelParams, report: TailReport, n_phases: 
     if report.case is TailCase.POLE:
         b_res = g(z1) / (z1 - z0)
         out = (b_res / lam) * z1 ** (-(j + 1.0))
-    elif abs(z0 - z1) < 1e-9 * abs(z1):
+    else:
         zs = 0.5 * (z0 + z1)
         out = (_derivative(g, zs) / lam) * zs ** (-(j + 1.0)) \
             - (g(zs) / lam) * (j + 1.0) * zs ** (-(j + 2.0))
-    else:
-        a_res = g(z0) / (z0 - z1)
-        b_res = g(z1) / (z1 - z0)
-        out = (a_res * z0 ** (-(j + 1.0)) + b_res * z1 ** (-(j + 1.0))) / lam
     return np.real(out)
 
 

@@ -2,12 +2,14 @@
 
 The stationary law of (level, phase) on phases 0..N satisfies the linear ODE
 system  dPi/dx * R = Pi * Q  with Q the truncated background generator and
-R the diagonal of net rates.  Everything here comes from the
-reversibility-symmetrized pencil (S, R), S = D Q D^{-1} with
-D = diag(sqrt(xi)).  S is negative semidefinite, S = -L L^T with L
-bidiagonal, so the nonzero eigenvalues of the pencil are those of the
-symmetric tridiagonal K = -L^T R^{-1} L: real, and computed to an absolute
-accuracy of about 1e-16 * ||K||.  A unit eigenvector y_k of K with
+R the diagonal of net rates.  The truncated chain's stationary law xi is
+model.PhaseDistribution's phases 0..N divided by their sum: a reflecting
+birth-death chain's truncated law is its untruncated law renormalized.
+Everything here comes from the reversibility-symmetrized pencil (S, R),
+S = D Q D^{-1} with D = diag(sqrt(xi)).  S is negative semidefinite,
+S = -L L^T with L bidiagonal, so the nonzero eigenvalues of the pencil are
+those of the symmetric tridiagonal K = -L^T R^{-1} L: real, and computed
+to an absolute accuracy of about 1e-16 * ||K||.  A unit eigenvector y_k of K with
 eigenvalue s_k gives the pencil vector psi_k = -R^{-1} L y_k / s_k, and
 these are R-orthogonal, psi_j^T R psi_k = -delta_jk / s_k; the zero mode
 sqrt(xi) (L^T sqrt(xi) = 0) is R-orthogonal to all of them.  The solution
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
 from .errors import FluidTailError, InvalidInputError
-from .model import BoundaryVector, ModelParams, checked_boundary, require_stable
+from .model import BoundaryVector, ModelParams, checked_boundary, phase_stationary, require_stable
 
 
 def _generator(params: ModelParams, n_phases: int) -> np.ndarray:
@@ -57,15 +59,6 @@ def _generator(params: ModelParams, n_phases: int) -> np.ndarray:
             q[i, i - 1] = service
         q[i, i] = -(params.lam * (i < n_phases) + service)
     return q
-
-
-def _truncated_stationary(params: ModelParams, n_phases: int) -> np.ndarray:
-    """Stationary law of the truncated chain via the birth-death product form."""
-    service = np.minimum(np.arange(1, n_phases + 1), params.c) * params.mu
-    logw = np.concatenate(([0.0], np.cumsum(math.log(params.lam) - np.log(service))))
-    logw -= logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
 
 
 class SpectralSolution:
@@ -204,7 +197,8 @@ def solve_truncated(params: ModelParams, n_phases: int = 400) -> SpectralSolutio
     if n_phases < params.c + 10:
         raise InvalidInputError(f"n_phases={n_phases} too small; need at least c+10")
     c = params.c
-    xi = _truncated_stationary(params, n_phases)
+    xi = phase_stationary(params).probs(n_phases + 1)
+    xi /= xi.sum()
     pencil = _reduced_pencil(params, n_phases)
     s_up, y_up = eigh_tridiagonal(pencil.diag, pencil.off, select="v",
                                   select_range=(0.0, math.inf), check_finite=False)
@@ -268,52 +262,6 @@ def _reduced_pencil(params: ModelParams, n_phases: int) -> _Pencil:
     return _Pencil(diag, off, l_diag, l_sub, rates)
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Regression summary of log density against x."""
-
-    rate: float
-    prefactor: float
-    rate_stderr: float
-    prefactor_stderr: float
-
-
-def fit_decay(
-    solution: SpectralSolution,
-    phase: int,
-    window: tuple,
-    n_points: int = 60,
-    fixed_rate: float | None = None,
-) -> DecayFit:
-    """Fit log pi_phase(x) ~ log C - rate*x over a window.
-
-    With fixed_rate given, only the prefactor is estimated, which is the
-    stable way to read off a prefactor when the rate is known analytically.
-    """
-    xs = np.linspace(window[0], window[1], n_points)
-    dens = solution.density_grid(xs)[:, phase]
-    _require_normal(dens, "density")
-    y = np.log(dens)
-    cols = [np.ones_like(xs)]
-    if fixed_rate is None:
-        cols.append(-xs)
-    else:
-        y = y + fixed_rate * xs
-    design = np.vstack(cols).T
-    coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    dof = max(1, len(xs) - design.shape[1])
-    sigma2 = float(res[0]) / dof if len(res) else 0.0
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    rate = coef[1] if fixed_rate is None else fixed_rate
-    rate_err = math.sqrt(abs(cov[1, 1])) if fixed_rate is None else 0.0
-    return DecayFit(
-        rate=float(rate),
-        prefactor=float(math.exp(coef[0])),
-        rate_stderr=float(rate_err),
-        prefactor_stderr=float(math.exp(coef[0]) * math.sqrt(abs(cov[0, 0]))),
-    )
-
-
 def summary_json(solution: SpectralSolution, top: int = 8) -> str:
     """JSON summary of a solve: eigenvalues, boundary masses, diagnostics."""
     payload = {
@@ -348,8 +296,8 @@ def _require_normal(values: np.ndarray, what: str) -> None:
     """Refuse values whose logarithm would be meaningless.
 
     Zero, negative, infinite or subnormal values mean the window lies past
-    float64 underflow (or the curve is wrong); fitting their logarithm would
-    return noise.
+    float64 underflow (or the curve is wrong); their logarithm would be
+    noise.
     """
     if not np.all(np.isfinite(values) & (values >= np.finfo(float).tiny)):
         raise FluidTailError(

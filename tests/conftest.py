@@ -10,6 +10,9 @@ CASE_II = ModelParams(c=1, lam=1.0, mu=4.0, r=1.0)    # pole exactly at alpha1 =
 CASE_III = ModelParams(c=3, lam=20.0, mu=30.0, r=10.0)  # no pole; branch point 2.5147
 # c=2 tuple whose folded coefficient has a genuine interior zero
 CASE_I_C2 = ModelParams(c=2, lam=0.7087, mu=1.7395, r=9.7767)
+# c=3 pole 1.4% below alpha1: the truncated oracle's branch-cut modes crowd its leading one
+CASE_I_NEAR_BRANCH = ModelParams(c=3, lam=2.2381052974720026, mu=1.2750269391875697,
+                                 r=1.4705251570806857)
 
 
 def random_stable_params(rng, c_choices=(1, 2, 3, 4, 5), max_tries=1000):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CASE_I, CASE_I_C2, CASE_II, CASE_III, ladder_generator, random_stable_params
+from conftest import (
+    CASE_I,
+    CASE_I_C2,
+    CASE_I_NEAR_BRANCH,
+    CASE_II,
+    CASE_III,
+    ladder_generator,
+    random_stable_params,
+)
 from fluidtail import asymptotics
 from fluidtail.asymptotics import (
     TailCase,
@@ -291,13 +299,30 @@ def test_joint_tail_anchor_and_ratio(report_case1):
 
 
 def test_joint_tail_matches_oracle_phases(report_case1, sol_case1):
-    # fitted per-phase prefactors from the oracle agree with the extraction
+    # the oracle's density at depth agrees with the extraction
     xs = np.linspace(36.0, 44.0, 17)
     dens = sol_case1.density_grid(xs)
     for i in (0, 1, 2):
         fitted = float(np.mean(dens[:, i] * np.exp(0.5 * xs)))
         predicted = joint_tail(CASE_I, report_case1, i).prefactor
         assert fitted == pytest.approx(predicted, rel=0.02)
+    # every per-phase prefactor, and the marginal's, against the coefficient
+    # s_0 b_0 phi_0 of the oracle's leading mode; these read at most 6.1e-15
+    # on the first two tuples at N = 400, while near the branch point the
+    # oracle's continuum converges slowly: 6.5e-10 at N = 400, 1.4e-13 at 800
+    from fluidtail.spectral import solve_truncated
+
+    for p, n_phases, tol in ((CASE_I, 400, 5e-14), (CASE_I_C2, 400, 5e-14),
+                             (CASE_I_NEAR_BRANCH, 800, 1e-12)):
+        sol = solve_truncated(p, n_phases)
+        report = analyze(p)
+        leading = sol.eigenvalues[0] * sol.mode_shapes[:, 0]
+        c = p.c
+        got = [lower_phase_tail(p, report, i).prefactor for i in range(c - 1)]
+        got += [joint_tail(p, report, i).prefactor for i in range(c - 1, c + 6)]
+        got.append(marginal_tail(p, report).prefactor)
+        want = np.append(leading[:c + 6], leading.sum())
+        assert got == pytest.approx(want, rel=tol, abs=0.0), p
 
 
 def test_marginal_tail_c1_bracket(report_case1):

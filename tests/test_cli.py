@@ -89,6 +89,9 @@ REFERENCE_ARGS = {
     "II": ["--c", "1", "--lambda", "1", "--mu", "4", "--r", "1"],
     "III": ["--c", "3", "--lambda", "20", "--mu", "30", "--r", "10"],
 }
+# conftest.CASE_I_NEAR_BRANCH: a c=3 pole 1.4% below alpha1
+NEAR_BRANCH_ARGS = ["--c", "3", "--lambda", "2.2381052974720026", "--mu", "1.2750269391875697",
+                    "--r", "1.4705251570806857"]
 
 
 def _reject_constant(name):
@@ -156,7 +159,7 @@ def test_validate_and_analyze_agree_on_prefactor_error(capsys):
 
 @pytest.mark.parametrize("case", ["II", "III"])
 def test_validate_checks_transform_without_a_pole(capsys, case):
-    # Cases II and III have no prefactor fit; the transform row checks the
+    # Cases II and III have no prefactor check; the transform row checks the
     # masses and the numerator against the oracle below alpha*
     _, out, err = run_cli(
         capsys, "validate", *REFERENCE_ARGS[case], "--truncation", "200",
@@ -283,6 +286,20 @@ def test_validate_case1(capsys):
     assert payload["checks"]["boundary_masses"]["pass"]
     assert payload["mc_rate"]["source"] == "simulation"
     assert "ok" in err
+
+
+def test_validate_prefactor_near_the_branch_point(capsys):
+    # the oracle's leading-mode coefficient matches the analytic prefactor
+    # even where the branch-cut modes crowd the leading one, so that the
+    # density at depth still carries them; the Monte Carlo rate check may
+    # fail on this tuple, so only the prefactor row is asserted
+    _, out, err = run_cli(
+        capsys, "validate", *NEAR_BRANCH_ARGS,
+        "--horizon", "50000", "--samples", "300000", "--seed", "1",
+    )
+    prefactor = json.loads(out)["checks"]["prefactor"]
+    assert prefactor["pass"] and prefactor["value"] < 1e-8
+    assert "prefactor" in err
 
 
 def test_validate_with_one_sample_exits_cleanly(capsys):

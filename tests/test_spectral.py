@@ -9,9 +9,7 @@ from fluidtail.errors import FluidTailError
 from fluidtail.model import ModelParams, phase_stationary
 from fluidtail.spectral import (
     _generator,
-    _truncated_stationary,
     curves_csv,
-    fit_decay,
     solve_truncated,
     summary_json,
 )
@@ -75,7 +73,7 @@ def _schur_boundary_masses(p, n_phases):
 
     q = _generator(p, n_phases)
     rates = p.net_rates(n_phases + 1)
-    xi = _truncated_stationary(p, n_phases)
+    xi = solve_truncated(p, n_phases).xi
     a_t = (q @ np.diag(1.0 / rates)).T
     _, v, sdim = schur(a_t, sort=lambda x: x.real < -1e-9, output="real")
     assert sdim == n_phases + 1 - p.c
@@ -114,14 +112,31 @@ def test_low_load_c8_is_finite():
     assert np.all(sol.boundary_masses[:8] > 0.0)
 
 
-def test_truncated_stationary_balance():
+def test_truncated_law_balance():
     # lam xi_i = min(i + 1, c) mu xi_{i+1}: the birth-death product form
     for p in REFERENCE:
-        xi = _truncated_stationary(p, 200)
+        xi = solve_truncated(p, 200).xi
         service = np.minimum(np.arange(1, 201), p.c) * p.mu
         assert xi.sum() == pytest.approx(1.0, rel=1e-14)
         keep = xi[1:] > 1e-250
         assert p.lam * xi[:-1][keep] == pytest.approx((service * xi[1:])[keep], rel=1e-11)
+
+
+def test_truncated_law_matches_extended_precision():
+    # the truncated law, against the product form in 50 digits, wherever it
+    # is above 1e-300; the largest error on these tuples reads 1.4e-14
+    mp = pytest.importorskip("mpmath")
+    for p in (ModelParams(c=2, lam=1.5, mu=1.0, r=0.5), ModelParams(c=5, lam=3.7, mu=1.1, r=0.8),
+              ModelParams(c=8, lam=6.0, mu=1.0, r=1.0), ModelParams(c=60, lam=50.0, mu=1.0, r=0.3)):
+        with mp.workdps(50):
+            w = [mp.mpf(1)]
+            for i in range(1, 401):
+                w.append(w[-1] * mp.mpf(p.lam) / (min(i, p.c) * mp.mpf(p.mu)))
+            total = mp.fsum(w)
+            ref = np.array([float(v / total) for v in w])
+        keep = ref > 1e-300
+        xi = solve_truncated(p, 400).xi
+        assert xi[keep] == pytest.approx(ref[keep], rel=1e-13, abs=0.0), p
 
 
 def test_mode_residual(sol_case1_c2):
@@ -199,22 +214,6 @@ def test_dominant_eigenvalue_matches_rates(sol_case1, sol_case2, sol_case3):
     assert -sol_case1.eigenvalues[0].real == pytest.approx(0.5, abs=1e-9)
     assert -sol_case2.eigenvalues[0].real == pytest.approx(1.0, rel=1e-3)
     assert -sol_case3.eigenvalues[0].real == pytest.approx(2.5147186257614296, rel=2e-2)
-
-
-def test_fit_decay_against_modes(sol_case1):
-    fit = fit_decay(sol_case1, phase=0, window=(30.0, 55.0))
-    assert fit.rate == pytest.approx(0.5, rel=2e-3)
-    assert fit.rate_stderr < 1e-3
-    # fixed-rate mode pins the prefactor
-    fit2 = fit_decay(sol_case1, phase=0, window=(40.0, 70.0), fixed_rate=0.5)
-    assert fit2.rate == 0.5
-    assert fit2.prefactor == pytest.approx(1.0 / 12.0, rel=0.02)
-
-
-def test_fit_decay_rejects_bad_window(sol_case1):
-    # far enough out the density underflows to zero and the fit must refuse
-    with pytest.raises(FluidTailError):
-        fit_decay(sol_case1, phase=0, window=(1900.0, 2000.0), n_points=4)
 
 
 def test_deep_tail_density_case1(sol_case1):
