@@ -30,7 +30,6 @@ at z = 0 is exactly 1, anchoring phase c-1.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -366,6 +365,15 @@ def lower_phase_tail(params: ModelParams, report: TailReport, phase: int) -> Pha
     )
 
 
+def _marginal_bracket(params: ModelParams, alpha_star: float) -> float:
+    """The level marginal's prefactor over phase c-1's: g(alpha*, 1)/K(alpha*, 1) + chain-sums."""
+    bracket = folded_coeff(params, alpha_star, 1.0) / (-alpha_star * params.r)
+    a_vals = chain_links(params, alpha_star)
+    for start in range(len(a_vals)):
+        bracket += math.prod(a_vals[start:])
+    return bracket
+
+
 def marginal_tail(params: ModelParams, report: TailReport) -> PhaseTail:
     """Tail descriptor of the level marginal (all phases summed).
 
@@ -374,11 +382,7 @@ def marginal_tail(params: ModelParams, report: TailReport) -> PhaseTail:
     bracket equals the exact sum of the per-phase prefactors.
     """
     a = report.alpha_star
-    bracket = folded_coeff(params, a, 1.0) / (-a * params.r)
-    a_vals = chain_links(params, a)
-    for start in range(len(a_vals)):
-        bracket += math.prod(a_vals[start:])
-    pref = report.prefactor * bracket
+    pref = report.prefactor * _marginal_bracket(params, a)
     return PhaseTail(
         phase=-1, rate=a, power=report.power, prefactor=pref,
         distribution_gap=-pref / a,
@@ -445,23 +449,33 @@ def _ladder_row(params: ModelParams) -> tuple:
     negatives too), which would send BLAS through subnormal products.
     """
     c, lam, mu, r = params.c, params.lam, params.mu, params.r
-    i, k = np.arange(c), np.arange(1, c)
-    basis = np.append(np.cumprod(np.minimum(1.0, k * mu / lam)[::-1])[::-1], 1.0)
-    m = np.diag(lam + c * mu + r * (lam + i * mu) / (c - i))   # the local block, negated
-    m[k - 1, k] = -r * np.minimum(lam, k * mu) / (c - k + 1)
-    m[k, k - 1] = -r * np.maximum(lam, k * mu) / (c - k)
-    up, eye = np.append(np.full(c - 1, lam), lam * (1.0 + r)), np.eye(c)
-    rhs, row, t = np.concatenate((np.diag(up), c * mu * eye), 1), np.zeros(c), eye[-1]
+    s = [1.0]
+    for k in range(c - 1, 0, -1):
+        s.append(s[-1] * min(1.0, k * mu / lam))
+    basis = np.array(s[::-1])
+    # the blocks are tridiagonal and diagonal; each diagonal is one strided store
+    m = np.zeros((c, c))   # the local block, negated
+    m.flat[::c + 1] = [lam + c * mu + r * (lam + i * mu) / (c - i) for i in range(c)]
+    m.flat[1::c + 1] = [-r * min(lam, k * mu) / (c - k + 1) for k in range(1, c)]
+    m.flat[c::c + 1] = [-r * max(lam, k * mu) / (c - k) for k in range(1, c)]
+    rhs, hl = np.zeros((c, 2 * c)), np.empty((2 * c, c))   # [up, down]; [H; L]
+    rhs.flat[::2 * c + 1], rhs.flat[c::2 * c + 1] = lam, c * mu
+    rhs[-1, c - 1] = lam * (1.0 + r)
+    eye = np.eye(c)
+    row, t = np.zeros(c), eye[-1]
     for _ in range(_MAX_STEPS):
         x = np.linalg.solve(m, rhs)   # [H, L]
         x[x < _NEGLIGIBLE] = 0.0
         tx = t @ x
-        row, t = row + tx[c:], tx[:c]
+        row += tx[c:]
+        t = tx[:c]
         if t @ basis < _EPS:
             return row, basis, abs(1.0 - float(row @ basis))
-        prod = np.concatenate((x[:, :c], x[:, c:])) @ x   # [H; L] [H, L]
-        m = eye - prod[:c, c:] - prod[c:, :c]
-        rhs = np.concatenate((prod[:c, :c], prod[c:, c:]), 1)
+        hl[:c], hl[c:] = x[:, :c], x[:, c:]
+        prod = hl @ x   # [H; L] [H, L]
+        m = eye - prod[:c, c:]
+        m -= prod[c:, :c]
+        rhs[:, :c], rhs[:, c:] = prod[:c, :c], prod[c:, c:]
     raise FluidTailError(f"ladder reduction not converged in {_MAX_STEPS} steps (c={c})")
 
 
@@ -549,7 +563,7 @@ def analyze(params: ModelParams) -> TailReport:
     pref, power = density_prefactor(case, c_const)
     z0 = branch_small_real(params, alpha_star)
     z1 = params.c * params.mu / (params.lam * z0)
-    report = TailReport(
+    return TailReport(
         params=params,
         case=case,
         alpha_star=alpha_star,
@@ -562,14 +576,9 @@ def analyze(params: ModelParams) -> TailReport:
         prefactor=pref,
         power=power,
         phase_ratio=1.0 / z1,
-        marginal_prefactor=0.0,
-        d_ztilde=0.0,
+        marginal_prefactor=pref * _marginal_bracket(params, alpha_star),
+        d_ztilde=boundary_mass_tail(params, boundary).d_ztilde,
         boundary=boundary,
         boundary_err=boundary_err,
         zero=zero,
-    )
-    marg = marginal_tail(params, report)
-    bt = boundary_mass_tail(params, boundary)
-    return dataclasses.replace(
-        report, marginal_prefactor=marg.prefactor, d_ztilde=bt.d_ztilde
     )

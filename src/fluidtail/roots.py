@@ -46,6 +46,8 @@ from .model import ModelParams, require_stable
 # |d| below this (times its term scale) counts as a zero
 _ZERO_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+# _coeff_grid's points over alpha1
+_UNIT_GRID = np.linspace(1e-3, 1.0 - 1e-12, 101)
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
     A value that is not finite, where the chain's weights or pivots pass
     the double range, raises FluidTailError.
     """
-    grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
+    grid = alpha1 * _UNIT_GRID
     with np.errstate(over="ignore", invalid="ignore"):
         g = folded_coeff(params, grid, branch_small_real(params, grid))
     if not np.isfinite(g).all():

@@ -332,6 +332,14 @@ def test_marginal_tail_c1_bracket(report_case1):
     assert report_case1.marginal_prefactor == pytest.approx(marg.prefactor, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [CASE_I, CASE_II, CASE_III, CASE_I_C2, CASE_I_NEAR_BRANCH])
+def test_report_marginal_and_residue_match_their_functions(p):
+    # analyze fills both fields in one pass; they are the public functions' values exactly
+    rep = analyze(p)
+    assert rep.marginal_prefactor == marginal_tail(p, rep).prefactor
+    assert rep.d_ztilde == boundary_mass_tail(p, rep.boundary).d_ztilde
+
+
 def test_marginal_equals_phase_sum(report_case1_c2):
     # coherence: the marginal prefactor is the exact sum of all per-phase ones
     report = report_case1_c2
@@ -465,6 +473,40 @@ def test_kernel_masses_match_oracle(rng):
         np.testing.assert_allclose(boundary.masses, oracle, rtol=1e-10, atol=0.0)
         compared += 1
     assert compared >= len(KERNEL_MASS_TUPLES)
+
+
+def _dense_ladder_row(p):
+    """_ladder_row with its blocks built by dense numpy array calls, the reference for its stores."""
+    c, lam, mu, r = p.c, p.lam, p.mu, p.r
+    i, k = np.arange(c), np.arange(1, c)
+    basis = np.append(np.cumprod(np.minimum(1.0, k * mu / lam)[::-1])[::-1], 1.0)
+    m = np.diag(lam + c * mu + r * (lam + i * mu) / (c - i))
+    m[k - 1, k] = -r * np.minimum(lam, k * mu) / (c - k + 1)
+    m[k, k - 1] = -r * np.maximum(lam, k * mu) / (c - k)
+    up, eye = np.append(np.full(c - 1, lam), lam * (1.0 + r)), np.eye(c)
+    rhs, row, t = np.concatenate((np.diag(up), c * mu * eye), 1), np.zeros(c), eye[-1]
+    for _ in range(asymptotics._MAX_STEPS):
+        x = np.linalg.solve(m, rhs)
+        x[x < asymptotics._NEGLIGIBLE] = 0.0
+        tx = t @ x
+        row, t = row + tx[c:], tx[:c]
+        if t @ basis < asymptotics._EPS:
+            return row, basis, abs(1.0 - float(row @ basis))
+        prod = np.concatenate((x[:, :c], x[:, c:])) @ x
+        m = eye - prod[:c, c:] - prod[c:, :c]
+        rhs = np.concatenate((prod[:c, :c], prod[c:, c:]), 1)
+    raise AssertionError("dense ladder reduction not converged")
+
+
+@pytest.mark.parametrize("c", [2, 3, 8, 60, 200])
+@pytest.mark.parametrize("load", [0.1, 0.5, 0.9])
+def test_ladder_row_matches_dense_blocks_bit_for_bit(c, load):
+    p = ModelParams(c=c, lam=load * c, mu=1.0, r=0.2)
+    row, basis, residual = asymptotics._ladder_row(p)
+    want_row, want_basis, want_residual = _dense_ladder_row(p)
+    assert np.array_equal(row, want_row)
+    assert np.array_equal(basis, want_basis)
+    assert residual == want_residual
 
 
 # the kernel formulation's masses at 160 digits, rounded to doubles: the c-1 growing zeros by
