@@ -23,9 +23,9 @@ no zero search and no truncation.  Each case's constant is a derivative
 at alpha* of an evaluator the zero search or the identity already has:
 of the deflated coefficient in alpha (POLE), of g in z (POLE_AT_BRANCH)
 and of the continuation ratio in z (BRANCH_ONLY), each by one complex
-step (_derivative).  Per-phase prefactors come from exact
-coefficient extraction of the folded-coefficient/kernel ratio, whose value
-at z = 0 is exactly 1, anchoring phase c-1.
+step (_derivative).  Per-phase prefactors are the power-series
+coefficients of the folded-coefficient/kernel ratio in closed form
+(_phase_coeff), 1 at z^0, anchoring phase c-1.
 """
 
 from __future__ import annotations
@@ -175,8 +175,9 @@ def constant_simple_pole(
     the folded coefficient, so the constant is z n / g'(alpha*), and
     g'(alpha*) = alpha* d'(alpha*) because d(alpha*) = 0.  d' is a complex
     step of roots._deflated, which has neither a pole nor a cancellation.
-    The zero search brackets d from negative to positive, so d' > 0 at a
-    simple zero; anything else raises AssumptionViolatedError.  The error
+    d' > 0 at the zero by step 4 of roots.find_coeff_zero's inertia
+    argument; a slope that is not positive can only be rounding, and
+    raises AssumptionViolatedError.  The error
     bars are rounding, times 10.  The small root z carries a relative error
     of about eps b/sqrt|disc| (b the kernel's linear coefficient), which
     d's drift term cmu r/(cmu - lam z) amplifies by lam z/|cmu - lam z|.
@@ -301,41 +302,31 @@ class TailReport:
     zero: CoeffZero = field(repr=False)
 
 
-def _phase_extraction_coeffs(params: ModelParams, report: TailReport, n_phases: int) -> np.ndarray:
-    """Exact coefficients R_j of the folded-coefficient/kernel ratio.
+def _phase_coeff(params: ModelParams, report: TailReport, j: int) -> float:
+    """R_j, the z^j coefficient of g(alpha*, z) / K(alpha*, z), in closed form.
 
-    R_j is the z^j coefficient of g(alpha*, z) / K(alpha*, z), with g the
-    folded coefficient (roots.folded_coeff), linear in z; phase c-1+j of the
-    joint tail scales by R_j, and R_0 = 1 exactly.  In the POLE case the
-    small-root pole cancels (its residue is the defining zero), leaving a
-    pure geometric sequence in 1/z_large; at the branch point the double
-    root contributes a linear-in-j factor in the BRANCH_ONLY case, through
-    the slope dg/dz, whose complex step is exact on a line.  The two roots
-    are the report's z_star and z_large; outside the POLE case alpha* is
-    alpha1, where they are the double root and agree to rounding.
+    Phase c-1+j of the joint tail scales by R_j.  g is the folded
+    coefficient (roots.folded_coeff), linear in z, and
+    K = -lam (z - z0)(z - z1) with z0 z1 = c mu / lam, z0 and z1 the
+    report's z_star and z_large.  Where g(z0) = 0, in the POLE and
+    POLE_AT_BRANCH cases, the small root's pole cancels and R_j = z1^-j.
+    In the BRANCH_ONLY case alpha* is alpha1, whose double root zs (the
+    mean of z0 and z1, which agree to rounding) leaves
+    R_j = zs^-j (1 + j kappa), kappa = -g(alpha1, zs) / (lam zs^2).
+    R_0 = 1 exactly.
     """
-    lam = params.lam
-    alpha_star, z0, z1 = report.alpha_star, report.z_star, report.z_large
-    dens = chain_pivots(params, alpha_star)[0]
-    g = lambda w: folded_coeff(params, alpha_star, w, dens)
-    j = np.arange(n_phases)
-    if report.case is TailCase.POLE:
-        b_res = g(z1) / (z1 - z0)
-        out = (b_res / lam) * z1 ** (-(j + 1.0))
-    else:
-        zs = 0.5 * (z0 + z1)
-        out = (_derivative(g, zs) / lam) * zs ** (-(j + 1.0)) \
-            - (g(zs) / lam) * (j + 1.0) * zs ** (-(j + 2.0))
-    return np.real(out)
+    if report.case is not TailCase.BRANCH_ONLY:
+        return report.z_large ** -j
+    zs = 0.5 * (report.z_star + report.z_large)
+    kappa = -folded_coeff(params, report.alpha_star, zs) / (params.lam * zs * zs)
+    return zs ** -j * (1.0 + j * kappa)
 
 
 def joint_tail(params: ModelParams, report: TailReport, phase: int) -> PhaseTail:
     """Tail descriptor of a single joint probability, any phase >= c-1."""
     if phase < params.c - 1:
         raise ValueError("use lower_phase_tail below phase c-1")
-    j = phase - (params.c - 1)
-    coeffs = _phase_extraction_coeffs(params, report, j + 1)
-    pref = report.prefactor * float(coeffs[j])
+    pref = report.prefactor * _phase_coeff(params, report, phase - (params.c - 1))
     return PhaseTail(
         phase=phase,
         rate=report.alpha_star,

@@ -22,8 +22,9 @@ links, the last link in g and in d, and the null vector (null_vector) are
 all read from them.
 
 On the small root z = branch_small_real(alpha), which is positive, g has
-the sign of f.  The candidate decay rate is the unique zero of g(alpha, z)
-inside (0, alpha1].  There g = alpha d(alpha) with d a deflated
+the sign of f.  The candidate decay rate is the zero of g(alpha, z) inside
+(0, alpha1], unique by an inertia count of the chain's pivots
+(find_coeff_zero).  There g = alpha d(alpha) with d a deflated
 coefficient that has neither a pole nor a cancellation at 0; d(0) < 0, so
 the sign of d at alpha1 tells whether the zero is inside, at alpha1 or
 absent, and Brent's method finds an inside zero.  The c-1 zeros of g on
@@ -39,15 +40,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import AssumptionViolatedError, FluidTailError
+from .errors import FluidTailError
 from .kernel import at_double_root, branch_points, branch_small_real
 from .model import ModelParams, require_stable
 
 # |d| below this (times its term scale) counts as a zero
 _ZERO_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-# _coeff_grid's points over alpha1
-_UNIT_GRID = np.linspace(1e-3, 1.0 - 1e-12, 101)
 
 
 @dataclass(frozen=True)
@@ -59,22 +58,6 @@ class CoeffZero:
     # the zeros found on (0, alpha1], 0 or 1 of them; the name is kept
     # because benchmark traces count its entries
     all_roots: np.ndarray
-
-
-def _coeff_grid(params: ModelParams, alpha1: float) -> np.ndarray:
-    """g on a 101-point grid on (0, alpha1), whose sign changes count the zeros.
-
-    A value that is not finite, where the chain's weights or pivots pass
-    the double range, raises FluidTailError.
-    """
-    grid = alpha1 * _UNIT_GRID
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = folded_coeff(params, grid, branch_small_real(params, grid))
-    if not np.isfinite(g).all():
-        raise FluidTailError(
-            f"folded coefficient not finite on (0, alpha1 = {alpha1}) at c = {params.c}: "
-            f"the chain's weights or pivots pass the double range")
-    return g
 
 
 def chain_pivots(params: ModelParams, alpha) -> tuple:
@@ -196,23 +179,40 @@ def find_coeff_zero(params: ModelParams) -> CoeffZero:
     there is none when d(alpha1) < 0, and otherwise Brent's method finds it
     between 0 and alpha1.  A zero it finds where branch_small_real clamps the
     small branch to the double root sits at alpha1 too: the sign change there
-    is the clamp's jump.  On (0, alpha1) g has the sign of d, so the grid
-    of _coeff_grid counts the zeros: one per sign change, plus one if its
-    first value is already positive; more than one raises
-    AssumptionViolatedError.  The zero is simple: the bracket only finds
-    zeros of odd order, and alpha* is an isolated eigenvalue of a symmetric
-    operator (spectral.py), whose resolvent has only simple poles.
+    is the clamp's jump.  A d(0) that is not negative, or a d(alpha1) that
+    is not finite, raises FluidTailError.
+
+    The bracket needs no count of the zeros: d has at most one on
+    (0, alpha1), where it rises through 0.  Take alpha in (0, alpha1),
+    S = D Q D^-1 = -L L^T on all phases (spectral.py) and
+    R = diag(i - c for i < c, r for i >= c); the count is Sylvester's law
+    of inertia (Parlett, "The Symmetric Eigenvalue Problem", 1980, ch. 3).
+
+    1. LDL^T elimination of S + alpha R from phase 0 gives the pivots
+       -den_i, i <= c-2, of chain_pivots, negative as every e_i > 0.
+    2. Phases >= c form a constant tridiagonal block with spectrum in
+       (-inf, r (alpha - alpha1)], so negative definite; its Schur
+       complement adds lam z to row c-1, z = branch_small_real(alpha).
+       On the kernel that row's pivot is g(alpha, z) / z = alpha d / z,
+       which has the sign of d.
+    3. So S + alpha R has one positive eigenvalue where d(alpha) > 0 and
+       none where d(alpha) < 0.
+    4. A null vector psi at alpha > 0 has psi^T R psi = |L^T psi|^2 / alpha
+       > 0, so every eigenvalue passes 0 rising (Hellmann-Feynman), and
+       the null space, of a Jacobi matrix, is one-dimensional.
+    5. The count of positive eigenvalues thus never falls as alpha grows
+       and is 0 or 1: d changes sign at most once on (0, alpha1), from -
+       to +, at a simple zero.  With d(0) < 0, d(alpha1) > 0 means exactly
+       one interior zero and d(alpha1) < 0 none.
     """
     require_stable(params)
     alpha1 = branch_points(params).alpha1
-    positive = _coeff_grid(params, alpha1) > 0.0
-    n_zeros = int(positive[0]) + int(np.count_nonzero(positive[1:] != positive[:-1]))
-    if n_zeros > 1:
-        raise AssumptionViolatedError(f"{n_zeros} zeros of g in (0, alpha1 = {alpha1})")
     d0, _ = _deflated(params, 0.0)
-    if not d0 < 0.0:
-        raise FluidTailError(f"deflated coefficient {d0} at alpha=0; a stable tuple has d(0) < 0")
     d1, size1 = _deflated(params, alpha1)
+    if not (d0 < 0.0 and math.isfinite(d1)):
+        raise FluidTailError(
+            f"deflated coefficient {d0} at alpha = 0 and {d1} at alpha1 = {alpha1}; "
+            f"a stable tuple has d(0) < 0 and a finite d(alpha1)")
     if abs(d1) < _ZERO_TOL * size1:
         alpha, at_branch = alpha1, True
     elif d1 < 0.0:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from _forcing_oracle import rationalized_zero_poly
 from conftest import (CASE_I, CASE_I_C2, CASE_II, CASE_III, ladder_generator, random_stable_c1,
                       random_stable_params)
 from fluidtail import roots
 from fluidtail.asymptotics import TailCase, analyze, numerator_value
-from fluidtail.errors import AssumptionViolatedError, FluidTailError
+from fluidtail.errors import FluidTailError
 from fluidtail.kernel import branch_points, branch_small_real
 from fluidtail.model import ModelParams
 from fluidtail.roots import find_coeff_zero, folded_coeff
@@ -18,6 +19,13 @@ from fluidtail.roots import find_coeff_zero, folded_coeff
 def _large_root(p, alpha):
     """The large kernel root at real alpha: c mu / (lam z) with z the small one."""
     return p.c * p.mu / (p.lam * branch_small_real(p, alpha))
+
+
+def _coeff_scale(p):
+    """max |g| on the small root over 101 points of (0, alpha1): a yardstick for "g is zero"."""
+    alpha1 = branch_points(p).alpha1
+    grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
+    return max(abs(folded_coeff(p, a, branch_small_real(p, a))) for a in grid)
 
 
 def corrected_cubic_c2(p):
@@ -178,7 +186,7 @@ def test_zero_search_case3_filters_large_branch_root():
     assert len(inside) == 1
     assert inside[0] == pytest.approx(2.483285, rel=1e-5)
     large = _large_root(CASE_III, inside[0])
-    scale = np.abs(roots._coeff_grid(CASE_III, bp.alpha1)).max()
+    scale = _coeff_scale(CASE_III)
     assert abs(folded_coeff(CASE_III, inside[0], large)) < 1e-6 * scale
 
 
@@ -208,6 +216,16 @@ def test_zero_search_where_the_chain_weights_overflow_at_zero():
         analyze(p)
     assert "nan" not in str(refusal.value)
     assert roots.chain_pivots(p, 0.0)[0] == [p.lam] * (p.c - 1)
+
+
+def test_zero_search_refuses_a_deflated_coefficient_that_is_not_finite(monkeypatch):
+    # the bracket reads only d(0) and d(alpha1); a nan at alpha1 would send Brent's method
+    # after a sign change that is not there
+    real = roots._deflated
+    monkeypatch.setattr(roots, "_deflated",
+                        lambda p, a: real(p, a) if a == 0.0 else (math.nan, math.nan))
+    with pytest.raises(FluidTailError, match="finite d"):
+        find_coeff_zero(CASE_I_C2)
 
 
 def test_zero_search_light_load_large_r_stays_on_the_real_branch():
@@ -254,12 +272,46 @@ def test_zero_search_matches_polynomial_roots(rng):
     assert n_interior > 50
 
 
-def test_zero_search_refuses_two_zeros(monkeypatch):
-    # a grid with two sign changes, or one after a positive start, shows two zeros
-    for signs in ([-1.0] * 30 + [1.0] * 30 + [-1.0] * 41, [1.0] * 50 + [-1.0] * 51):
-        monkeypatch.setattr(roots, "_coeff_grid", lambda p, a1: np.array(signs))
-        with pytest.raises(AssumptionViolatedError, match="2 zeros"):
-            find_coeff_zero(CASE_III)
+def _shifted_symmetrized(p, alpha, n_phases):
+    """(diagonal, off-diagonal, R) of S + alpha R on phases 0..n_phases, S = D Q D^-1."""
+    i = np.arange(n_phases + 1)
+    rates = np.where(i < p.c, i - p.c, p.r).astype(float)
+    diag = -(p.lam * (i < n_phases) + np.minimum(i, p.c) * p.mu) + alpha * rates
+    off = np.sqrt(p.lam * np.minimum(i[1:], p.c) * p.mu)
+    return diag, off, rates
+
+
+def test_inertia_count_matches_deflated_sign(rng):
+    # find_coeff_zero's uniqueness proof, checked by a dense eigensolver on the truncated
+    # operator: S + alpha R has one positive eigenvalue where d(alpha) > 0 and none where
+    # d(alpha) < 0, and at an interior zero its null vector has psi^T R psi > 0, so the
+    # eigenvalue that passes 0 rises through it
+    def interior_zero(p):
+        zero = find_coeff_zero(p)
+        return None if zero.at_branch_point else zero.alpha
+
+    drawn = [random_stable_params(rng, c_choices=range(1, 9)) for _ in range(300)]
+    # 40 tuples as drawn, and the others that have an interior zero (about 1 in 20)
+    tuples = [(p, 300) for k, p in enumerate(drawn) if k < 40 or interior_zero(p) is not None]
+    tuples += [(random_stable_params(rng, c_choices=(c,)), 400)
+               for c in (12, 20, 30) for _ in range(3)]
+    signs, n_interior = set(), 0
+    for p, n_phases in tuples:
+        alpha1 = branch_points(p).alpha1
+        for frac in (0.05, 0.3, 0.6, 0.9, 0.99):
+            diag, off, _ = _shifted_symmetrized(p, frac * alpha1, n_phases)
+            n_positive = int(np.count_nonzero(eigvalsh_tridiagonal(diag, off) > 0.0))
+            positive = roots._deflated(p, frac * alpha1)[0] > 0.0
+            assert n_positive == int(positive), (p, frac)
+            signs.add(positive)
+        alpha = interior_zero(p)
+        if alpha is None:
+            continue
+        n_interior += 1
+        diag, off, rates = _shifted_symmetrized(p, alpha, n_phases)
+        _, psi = eigh_tridiagonal(diag, off, select="i", select_range=(n_phases, n_phases))
+        assert psi[:, 0] @ (rates * psi[:, 0]) > 0.0, p
+    assert signs == {False, True} and n_interior > 10
 
 
 @pytest.mark.xfail(reason="published root list {4, -67, -15+/-5i} is not reproducible "
@@ -280,7 +332,7 @@ def test_filtering_soundness(rng):
         zero = find_coeff_zero(p)
         if zero.alpha is None or zero.at_branch_point:
             continue
-        scale = np.abs(roots._coeff_grid(p, branch_points(p).alpha1)).max()
+        scale = _coeff_scale(p)
         small = abs(folded_coeff(p, zero.alpha, branch_small_real(p, zero.alpha)))
         large = abs(folded_coeff(p, zero.alpha, _large_root(p, zero.alpha)))
         assert small < 1e-8 * scale
@@ -338,8 +390,6 @@ NEGATIVE_AXIS_TUPLES = [CASE_I, CASE_II, CASE_III, CASE_I_C2,
 
 
 def _pencil_growing_eigenvalues(p, n_phases=400):
-    from scipy.linalg import eigh_tridiagonal
-
     from fluidtail.spectral import _reduced_pencil
 
     pencil = _reduced_pencil(p, n_phases)
@@ -359,13 +409,3 @@ def test_ladder_generator_eigenvalues_are_pencil_eigenvalues(rng):
         assert abs(eig[-1]) < 1e-12 * (p.lam + p.c * p.mu), p   # the zero mode
         s_up = np.sort(_pencil_growing_eigenvalues(p))[::-1]
         np.testing.assert_allclose(eig[:-1], -s_up, rtol=1e-10)
-
-
-def test_coeff_scale_matches_scalar_loop(rng):
-    tuples = NEGATIVE_AXIS_TUPLES + [random_stable_params(rng, c_choices=range(1, 9))
-                                     for _ in range(40)]
-    for p in tuples:
-        alpha1 = branch_points(p).alpha1
-        grid = np.linspace(1e-3 * alpha1, alpha1 * (1.0 - 1e-12), 101)
-        loop = max(abs(folded_coeff(p, a, branch_small_real(p, a))) for a in grid)
-        assert np.max(np.abs(roots._coeff_grid(p, alpha1))) == pytest.approx(loop, rel=1e-12)
